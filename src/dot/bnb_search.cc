@@ -1,7 +1,6 @@
 #include "dot/bnb_search.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "common/arena.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/eval_tables.h"
@@ -22,31 +22,11 @@ namespace dot {
 
 namespace {
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 constexpr long long kCountSaturated = std::numeric_limits<long long>::max();
-
-long long SaturatingMul(long long a, long long b) {
-  if (a != 0 && b > kCountSaturated / a) return kCountSaturated;
-  return a * b;
-}
 
 long long SaturatingAdd(long long a, long long b) {
   if (a > kCountSaturated - b) return kCountSaturated;
   return a + b;
-}
-
-/// M^N, saturating at LLONG_MAX instead of wrapping — the overflow-safe
-/// spelling of the layout-space size (3^40 and the like must produce a
-/// clean refusal from the enumeration guard, not undefined behaviour).
-long long PowSaturating(int m, int n) {
-  long long total = 1;
-  for (int i = 0; i < n; ++i) total = SaturatingMul(total, m);
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -57,7 +37,7 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
                           double start_ms) {
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
-  const long long total = PowSaturating(m, n);
+  const long long total = LayoutSpaceSize(n, m);
 
   DotResult result;
   if (total > max_layouts) {
@@ -590,7 +570,7 @@ DotResult BranchAndBoundSearch(
   }
   sh.leaves_below.resize(static_cast<size_t>(n) + 1);
   for (int d = 0; d <= n; ++d) {
-    sh.leaves_below[static_cast<size_t>(d)] = PowSaturating(m, n - d);
+    sh.leaves_below[static_cast<size_t>(d)] = LayoutSpaceSize(n - d, m);
   }
 
   // Deterministic incumbent seeds, evaluated through the same path the
@@ -640,7 +620,7 @@ DotResult BranchAndBoundSearch(
   // on (M, N) — never on the thread count — so the task set, the reduction,
   // and every counter are identical at any parallelism.
   int shard_depth = 0;
-  while (shard_depth < n - 1 && PowSaturating(m, shard_depth) < 64) {
+  while (shard_depth < n - 1 && LayoutSpaceSize(shard_depth, m) < 64) {
     ++shard_depth;
   }
   sh.shard_depth = shard_depth;

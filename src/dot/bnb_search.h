@@ -32,9 +32,9 @@ enum class ExactStrategy {
 /// status (it no longer aborts) when M^N exceeds this.
 inline constexpr long long kDefaultMaxEnumeratedLayouts = 50'000'000;
 
-/// The exact-search entry point. ExhaustiveSearch (dot/exhaustive.h) is a
-/// thin alias for the kEnumerate strategy; kBranchAndBound is the scalable
-/// choice — bit-identical results, tractable on full benchmark schemas.
+/// The exact-search entry point. kEnumerate is the paper's Exhaustive
+/// Search comparator; kBranchAndBound is the scalable choice — bit-identical
+/// results, tractable on full benchmark schemas.
 /// `max_layouts` applies to kEnumerate only.
 ///
 /// Prefer dot::Solve(problem, spec) with SolveMethod::kExact / kEnumerate

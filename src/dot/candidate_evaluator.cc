@@ -27,6 +27,17 @@ std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
   return placement;
 }
 
+long long LayoutSpaceSize(int num_objects, int num_classes) {
+  DOT_CHECK(num_objects >= 0 && num_classes >= 1);
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  long long total = 1;
+  for (int o = 0; o < num_objects; ++o) {
+    if (total > kMax / num_classes) return kMax;
+    total *= num_classes;
+  }
+  return total;
+}
+
 CandidateEvaluator::CandidateEvaluator(const DotOptimizer& estimator,
                                        ThreadPool* pool)
     : estimator_(estimator), pool_(pool) {
@@ -124,18 +135,26 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
       [&](int shard, int64_t shard_begin, int64_t shard_end) {
         SpaceScan local;
         std::vector<int> placement = DecodeLayoutIndex(shard_begin, n, m);
-        std::unique_ptr<FastEvaluator::Cursor> cursor;
-        if (fast_ != nullptr) {
-          cursor = fast_->MakeCursor();
-          cursor->Reset(placement);
+        // Drive the scorer's bound cursor along the odometer. Digit 0 (the
+        // least significant) is assigned last, so a step that rolls digits
+        // 0..k unassigns them in LIFO order and re-assigns k..0; every step
+        // is a fully assigned leaf, where Optimistic() is exact (the
+        // BoundCursor leaf contract, workload.h). For DSS only the
+        // templates whose footprint holds a rolled digit re-resolve.
+        std::unique_ptr<FastScorer::BoundCursor> cursor;
+        if (fast_ != nullptr) cursor = fast_->scorer()->MakeBoundCursor();
+        if (cursor != nullptr) {
+          for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
         }
         for (int64_t idx = shard_begin; idx < shard_end; ++idx) {
           local.evaluated += 1;
           CandidateEval eval;
           if (cursor != nullptr) {
-            eval = cursor->Eval(placement);
+            eval = fast_->EvaluateWithScore(placement,
+                                            cursor->Optimistic(placement));
           } else {
-            eval = EvaluateOne(Layout(problem.schema, problem.box, placement));
+            eval = EvaluateQuick(
+                Layout(problem.schema, problem.box, placement));
           }
           if (eval.feasible) {
             if (!local.feasible_found ||
@@ -146,20 +165,20 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
               local.best_placement = placement;
             }
           }
-          // Advance the M-ary odometer (digit 0 least significant) and tell
-          // the cursor which digits rolled — almost always just digit 0, so
-          // incremental scorers refresh O(changed digits) state per step.
-          int digit = 0;
-          while (digit < n) {
-            const size_t d = static_cast<size_t>(digit);
-            const bool carried = ++placement[d] >= m;
-            if (carried) placement[d] = 0;
-            if (cursor != nullptr && idx + 1 < shard_end) {
-              cursor->Touch(digit, placement);
-            }
-            if (!carried) break;
-            ++digit;
+          // Advance the M-ary odometer (digit 0 least significant); `top`
+          // is the highest digit that changed — almost always 0.
+          int top = 0;
+          while (top < n) {
+            const size_t d = static_cast<size_t>(top);
+            if (++placement[d] < m) break;
+            placement[d] = 0;
+            ++top;
           }
+          // A shard's last step (the only one that can wrap all N digits)
+          // leaves the cursor alone.
+          if (cursor == nullptr || idx + 1 == shard_end) continue;
+          for (int d = 0; d <= top; ++d) cursor->Unassign(d);
+          for (int d = top; d >= 0; --d) cursor->Assign(d, placement);
         }
         per_shard[static_cast<size_t>(shard)] = std::move(local);
       });

@@ -88,9 +88,10 @@ class CandidateEvaluator {
   /// (placement[o] = (index / M^o) mod M — digit 0 least significant, the
   /// serial odometer's order), sharded across the pool, and returns the
   /// feasible minimum under BetterCandidate. Each shard walks the odometer
-  /// with a fast-path cursor (only the rolled digits refresh scorer state);
-  /// the winner is re-scored through the full path so `best.estimate` is
-  /// populated exactly as before.
+  /// with the scorer's BoundCursor (only the rolled digits are unassigned
+  /// and re-assigned) and scores every leaf from its exact Optimistic();
+  /// without a bound cursor it falls back to EvaluateQuick. The winner is
+  /// re-scored through the full path so `best.estimate` is populated.
   struct SpaceScan {
     bool feasible_found = false;
     std::vector<int> best_placement;
@@ -114,6 +115,11 @@ class CandidateEvaluator {
 /// placement[o] = (index / M^o) mod M for an N-digit, radix-M space.
 std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
                                    int num_classes);
+
+/// M^N, the size of the N-digit, radix-M layout space, saturating at
+/// LLONG_MAX instead of wrapping: 3^40 and the like must produce a clean
+/// refusal from a `> cap` guard, not undefined behaviour.
+long long LayoutSpaceSize(int num_objects, int num_classes);
 
 }  // namespace dot
 

@@ -93,32 +93,6 @@ CandidateEval FastEvaluator::EvaluateWithScore(
   return Finish(eval, qp);
 }
 
-FastEvaluator::Cursor::Cursor(
-    const FastEvaluator* owner,
-    std::unique_ptr<FastScorer::Cursor> scorer_cursor)
-    : owner_(owner), scorer_cursor_(std::move(scorer_cursor)) {}
-
-void FastEvaluator::Cursor::Reset(const std::vector<int>& placement) {
-  scorer_cursor_->Reset(placement);
-}
-
-void FastEvaluator::Cursor::Touch(int object_id,
-                                  const std::vector<int>& placement) {
-  scorer_cursor_->Touch(object_id, placement);
-}
-
-CandidateEval FastEvaluator::Cursor::Eval(
-    const std::vector<int>& placement) const {
-  CandidateEval eval;
-  if (!owner_->FitAndCost(placement, &eval)) return eval;
-  return owner_->Finish(eval, scorer_cursor_->Score(placement));
-}
-
-std::unique_ptr<FastEvaluator::Cursor> FastEvaluator::MakeCursor() const {
-  DOT_CHECK(scorer_ != nullptr);
-  return std::make_unique<Cursor>(this, scorer_->MakeCursor());
-}
-
 long long FastEvaluator::plan_cache_hits() const {
   return scorer_ != nullptr ? scorer_->cache_hits() : 0;
 }

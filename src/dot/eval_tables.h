@@ -43,7 +43,8 @@ class FastEvaluator {
   /// (CandidateEval::estimate stays empty). Thread-safe.
   CandidateEval EvaluateQuick(const std::vector<int>& placement) const;
 
-  /// Branch-and-bound leaf path: the same fit/cost kernels as
+  /// Exact-search leaf path (branch-and-bound leaves, exhaustive-scan
+  /// steps): the same fit/cost kernels as
   /// EvaluateQuick, but the workload score is supplied by the caller (the
   /// bound cursor's Optimistic(), which is exact at a fully assigned
   /// placement). Bit-identical to EvaluateQuick whenever `qp` equals what
@@ -52,24 +53,9 @@ class FastEvaluator {
                                   const QuickPerf& qp) const;
 
   /// The underlying workload scorer (never null while enabled()); the
-  /// exact search builds its per-subtree BoundCursors from it.
+  /// exact searches build their BoundCursors from it (one per subtree task
+  /// or scan shard).
   const FastScorer* scorer() const { return scorer_.get(); }
-
-  /// Single-threaded incremental walker for odometer scans: Touch() the
-  /// changed objects, then Eval(). One per shard.
-  class Cursor {
-   public:
-    Cursor(const FastEvaluator* owner,
-           std::unique_ptr<FastScorer::Cursor> scorer_cursor);
-    void Reset(const std::vector<int>& placement);
-    void Touch(int object_id, const std::vector<int>& placement);
-    CandidateEval Eval(const std::vector<int>& placement) const;
-
-   private:
-    const FastEvaluator* owner_;
-    std::unique_ptr<FastScorer::Cursor> scorer_cursor_;
-  };
-  std::unique_ptr<Cursor> MakeCursor() const;
 
   /// Plan-cache traffic of the underlying scorer (0/0 when the model has no
   /// plan cache, e.g. OLTP).

@@ -1,7 +1,6 @@
 #include "dot/reprovision.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 
 #include "common/arena.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
@@ -21,22 +21,6 @@ namespace dot {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// M^N saturating at cap+1 (the guard only needs "exceeds cap").
-long long PowSaturating(int m, int n, long long cap) {
-  long long total = 1;
-  for (int i = 0; i < n; ++i) {
-    if (total > cap / m) return cap + 1;
-    total *= m;
-  }
-  return total;
-}
 
 /// Builds one epoch's single-shot problem; the planner is a driver of the
 /// existing optimizer stack, not a re-implementation of it.
@@ -202,7 +186,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   };
   if (config_.exhaustive_pool) {
     const int m = box_->NumClasses();
-    const long long space = PowSaturating(m, n, config_.max_pool_layouts);
+    const long long space = LayoutSpaceSize(n, m);
     if (space > config_.max_pool_layouts) {
       plan.status = Status::OutOfRange(
           "exhaustive pool of " + std::to_string(m) + "^" +

@@ -60,6 +60,14 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       return Status::InvalidArgument(
           "DotProblem::schema and ::workload must be set");
     }
+    // The ReprovisionPlanner invariant, checked here so a bad weight
+    // (negative, or NaN) returns a Status instead of aborting.
+    if (method == SolveMethod::kEpochPlan &&
+        !(migration_weight == kAutoMigrationWeight ||
+          migration_weight >= 0.0)) {
+      return Status::InvalidArgument(
+          "migration_weight must be >= 0 or kAutoMigrationWeight");
+    }
     return Status::OK();
   }
   // --- kFleet: the problem carries box + options; the spec carries the
@@ -86,6 +94,15 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
           "tenant " + t.name +
           " carries a scenario ensemble; fleet mode is point-forecast");
     }
+  }
+  // The FleetPlanner invariants, checked here so they return a Status
+  // instead of aborting.
+  if (fleet->config.max_pool_layouts <= 0) {
+    return Status::InvalidArgument("FleetConfig::max_pool_layouts must be > 0");
+  }
+  if (fleet->config.price_iterations < 1) {
+    return Status::InvalidArgument(
+        "FleetConfig::price_iterations must be >= 1");
   }
   const auto& capacity = fleet->config.constraints.capacity_gb;
   if (!capacity.empty() &&

@@ -100,7 +100,9 @@ struct SolveSpec {
 
   /// Checks this spec against `problem` and returns the exact status
   /// Solve() would fail with: null problem inputs, an ensemble overlay on
-  /// a method that cannot honor it, or a malformed fleet spec. Solve()
+  /// a method that cannot honor it, a negative or NaN migration_weight
+  /// (kEpochPlan), or a malformed fleet spec (including a non-positive
+  /// max_pool_layouts or price_iterations). Solve()
   /// calls this first and returns the error in SolveResult::status — it no
   /// longer aborts on spec/problem mismatches — so drivers that assemble
   /// specs from config can pre-flight them.

@@ -1,7 +1,6 @@
 #include "fleet/fleet_planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -9,6 +8,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
@@ -25,22 +25,6 @@ namespace {
 /// drift from B by ULPs; a selection must not flip infeasible over that.
 constexpr double kFleetFeasTol = 1e-9;
 constexpr double kEps = 1e-12;
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// M^N saturating at cap+1 (the guard only needs "exceeds cap").
-long long PowSaturating(int m, int n, long long cap) {
-  long long total = 1;
-  for (int i = 0; i < n; ++i) {
-    if (total > cap / m) return cap + 1;
-    total *= m;
-  }
-  return total;
-}
 
 void AppendU64(uint64_t v, std::string* out) {
   static const char* kHex = "0123456789abcdef";
@@ -115,7 +99,7 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
 
   std::vector<std::vector<int>> candidates;
   if (config.pool_mode == FleetPoolMode::kEnumerate) {
-    const long long space = PowSaturating(m, n, config.max_pool_layouts);
+    const long long space = LayoutSpaceSize(n, m);
     if (space > config.max_pool_layouts) {
       out.status = Status::OutOfRange(
           "tenant layout space " + std::to_string(m) + "^" +

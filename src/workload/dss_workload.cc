@@ -213,10 +213,6 @@ class DssFastScorer : public FastScorer {
     return ScoreFromTimes(times.data());
   }
 
-  std::unique_ptr<FastScorer::Cursor> MakeCursor() const override {
-    return std::make_unique<Cursor>(this);
-  }
-
   std::unique_ptr<FastScorer::BoundCursor> MakeBoundCursor() const override {
     EnsureFloors();
     return std::make_unique<BoundCursor>(this);
@@ -259,53 +255,21 @@ class DssFastScorer : public FastScorer {
   }
 
  private:
-  /// Incremental walker: re-resolves only the templates whose footprint
-  /// contains a touched object; every other template keeps its time.
-  class Cursor : public FastScorer::Cursor {
-   public:
-    explicit Cursor(const DssFastScorer* scorer) : scorer_(scorer) {}
-
-    void Reset(const std::vector<int>& placement) override {
-      times_.resize(scorer_->footprints_.size());
-      CacheTally tally;
-      for (size_t t = 0; t < times_.size(); ++t) {
-        times_[t] = scorer_->TemplateTime(static_cast<int>(t), placement,
-                                          sig_, tally);
-      }
-      scorer_->FlushTally(tally);
-    }
-
-    void Touch(int object_id, const std::vector<int>& placement) override {
-      CacheTally tally;
-      for (int t :
-           scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
-        times_[static_cast<size_t>(t)] =
-            scorer_->TemplateTime(t, placement, sig_, tally);
-      }
-      scorer_->FlushTally(tally);
-    }
-
-    QuickPerf Score(const std::vector<int>& placement) const override {
-      (void)placement;  // the per-template times already reflect it
-      return scorer_->ScoreFromTimes(times_.data());
-    }
-
-   private:
-    const DssFastScorer* scorer_;
-    std::vector<double> times_;
-    std::string sig_;
-  };
-
-  /// Partial-placement walker for the branch-and-bound search: a template
-  /// contributes the tightest applicable floor — the max of the
-  /// conditional floors of its already-assigned objects — until every
-  /// footprint object is assigned, then its exact (cached) time. At a leaf
-  /// every template is exact and Optimistic() is ScoreFromTimes over
-  /// exactly the values Score would compute — bit-identical by
-  /// construction.
+  /// Partial-placement walker for the exact searches (branch-and-bound
+  /// nodes, exhaustive-scan odometer steps): a template contributes the
+  /// tightest applicable floor — the max of the conditional floors of its
+  /// already-assigned objects — until every footprint object is assigned,
+  /// then its exact (cached) time. At a leaf every template is exact and
+  /// Optimistic() is ScoreFromTimes over exactly the values Score would
+  /// compute — bit-identical by construction.
   class BoundCursor : public FastScorer::BoundCursor {
    public:
     explicit BoundCursor(const DssFastScorer* scorer) : scorer_(scorer) {
+      size_t depth = 0;
+      for (const std::vector<int>& ts : scorer_->templates_by_object_) {
+        depth += ts.size();
+      }
+      saved_.reserve(depth);
       Reset();
     }
 
@@ -315,36 +279,37 @@ class DssFastScorer : public FastScorer {
       for (size_t t = 0; t < unassigned_.size(); ++t) {
         unassigned_[t] = static_cast<int>(scorer_->footprints_[t].size());
       }
-      cls_.assign(scorer_->templates_by_object_.size(), -1);
+      saved_.clear();
     }
 
     void Assign(int object_id, const std::vector<int>& placement) override {
       const int c = placement[static_cast<size_t>(object_id)];
-      cls_[static_cast<size_t>(object_id)] = c;
       CacheTally tally;
       for (int t :
            scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
+        double& time = times_[static_cast<size_t>(t)];
+        saved_.push_back(time);
         if (--unassigned_[static_cast<size_t>(t)] == 0) {
-          times_[static_cast<size_t>(t)] =
-              scorer_->TemplateTime(t, placement, sig_, tally);
+          time = scorer_->TemplateTime(t, placement, sig_, tally);
         } else {
           // Still incomplete: raise the floor with this object's
-          // conditional (a running max is exact on the LIFO path because
-          // Unassign recomputes from scratch).
-          times_[static_cast<size_t>(t)] =
-              std::max(times_[static_cast<size_t>(t)],
-                       CondFloor(t, object_id, c));
+          // conditional.
+          time = std::max(time, CondFloor(t, object_id, c));
         }
       }
       scorer_->FlushTally(tally);
     }
 
     void Unassign(int object_id) override {
-      cls_[static_cast<size_t>(object_id)] = -1;
-      for (int t :
-           scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
-        unassigned_[static_cast<size_t>(t)] += 1;
-        times_[static_cast<size_t>(t)] = IncompleteFloor(t);
+      // LIFO: pop, in reverse, the times Assign(object_id) saved. An
+      // incomplete template's time is a max over exact floors, so the
+      // restored value is the one any recomputation would produce.
+      const std::vector<int>& ts =
+          scorer_->templates_by_object_[static_cast<size_t>(object_id)];
+      for (auto it = ts.rbegin(); it != ts.rend(); ++it) {
+        unassigned_[static_cast<size_t>(*it)] += 1;
+        times_[static_cast<size_t>(*it)] = saved_.back();
+        saved_.pop_back();
       }
     }
 
@@ -369,28 +334,11 @@ class DssFastScorer : public FastScorer {
       return 0.0;
     }
 
-    double IncompleteFloor(int t) const {
-      double lb = scorer_->floors_[static_cast<size_t>(t)];
-      const std::vector<double>& cond =
-          scorer_->cond_floors_[static_cast<size_t>(t)];
-      if (cond.empty()) return lb;
-      const std::vector<int>& fp =
-          scorer_->footprints_[static_cast<size_t>(t)];
-      const int m = scorer_->box_->NumClasses();
-      for (size_t i = 0; i < fp.size(); ++i) {
-        const int c = cls_[static_cast<size_t>(fp[i])];
-        if (c >= 0) {
-          lb = std::max(
-              lb, cond[i * static_cast<size_t>(m) + static_cast<size_t>(c)]);
-        }
-      }
-      return lb;
-    }
-
     const DssFastScorer* scorer_;
     std::vector<double> times_;
     std::vector<int> unassigned_;
-    std::vector<int> cls_;  ///< assigned class per object, -1 = unassigned
+    /// Pre-Assign times, one per (assigned object, template) in LIFO order.
+    std::vector<double> saved_;
     std::string sig_;
   };
 
@@ -498,7 +446,8 @@ class DssFastScorer : public FastScorer {
     return time_ms;
   }
 
-  /// The sequence walk and SLA verdict, shared by Score and the cursor.
+  /// The sequence walk and SLA verdict, shared by Score and the bound
+  /// cursor.
   QuickPerf ScoreFromTimes(const double* time_by_template) const {
     QuickPerf qp;
     qp.sla_ok = true;

@@ -69,43 +69,24 @@ inline constexpr double kBoundSafety = 1e-9;
 /// Allocation-free candidate scorer a workload model can offer the search
 /// engine. Built once per optimization run (per-object device-time tables
 /// for OLTP, a placement-signature plan cache for DSS) and then queried for
-/// thousands of candidate placements.
+/// thousands of candidate placements. Two ways in, both bit-identical to
+/// the model's full Estimate (the reference):
+///
+///   * Score — one whole placement, stateless;
+///   * BoundCursor — an incremental walker over partial placements, shared
+///     by the branch-and-bound search (optimistic bounds at interior
+///     nodes) and the exhaustive scan (an odometer walk whose every step
+///     is a leaf, where the cursor is exact).
 ///
 /// Thread-safety: Score() must be safe to call concurrently (internal caches
-/// synchronize themselves); a Cursor is single-threaded state and each shard
-/// of a scan must create its own.
+/// synchronize themselves); a BoundCursor is single-threaded state and each
+/// search task or scan shard creates its own.
 class FastScorer {
  public:
   virtual ~FastScorer() = default;
 
   /// Scores one placement. Bit-identical to the model's full estimate.
   virtual QuickPerf Score(const std::vector<int>& placement) const = 0;
-
-  /// Incremental walker for odometer-style scans (the exhaustive search):
-  /// the caller announces which single objects changed since the last step
-  /// so the scorer refreshes only the state those objects invalidate (for
-  /// DSS, only the query templates whose footprint contains a changed
-  /// object re-resolve their cached plan). Scalar totals are still re-summed
-  /// in fixed object order on every Score — a floating-point delta update
-  /// would make the value depend on the walk's starting point and break the
-  /// shard-independence the determinism contract requires (DESIGN.md §2).
-  class Cursor {
-   public:
-    virtual ~Cursor() = default;
-    /// (Re)seeds the cursor from a full placement.
-    virtual void Reset(const std::vector<int>& placement) { (void)placement; }
-    /// `placement` already reflects object `object_id`'s new class.
-    virtual void Touch(int object_id, const std::vector<int>& placement) {
-      (void)object_id;
-      (void)placement;
-    }
-    virtual QuickPerf Score(const std::vector<int>& placement) const = 0;
-  };
-
-  /// Returns a fresh cursor. The default has no incremental state and simply
-  /// re-scores from scratch (correct for models whose Score is already a
-  /// flat table-lookup sum, e.g. OLTP).
-  virtual std::unique_ptr<Cursor> MakeCursor() const;
 
   /// Partial-placement walker for the exact branch-and-bound search
   /// (dot/bnb_search.h): the search assigns objects one at a time and asks
@@ -123,12 +104,12 @@ class FastScorer {
   ///      throughput add to a combined upper bound, per-side time lower
   ///      bounds add to a combined lower bound.
   ///   2. Exact at the leaves: with every object assigned, Optimistic()
-  ///      must be bit-identical to Score(placement) — the search evaluates
-  ///      leaves through this path and its results must match the
-  ///      enumerating search bit for bit.
+  ///      must be bit-identical to Score(placement) — both exact searches
+  ///      (branch-and-bound and the enumerating scan) evaluate leaves
+  ///      through this path, so each matches the full path bit for bit.
   ///
-  /// Assign/Unassign follow the search's LIFO discipline. A BoundCursor is
-  /// single-threaded state; each subtree task creates its own.
+  /// Assign/Unassign follow a LIFO discipline. A BoundCursor is
+  /// single-threaded state; each subtree task or scan shard creates its own.
   class BoundCursor {
    public:
     virtual ~BoundCursor() = default;

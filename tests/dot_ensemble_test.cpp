@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "catalog/tpch_schema.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "dot/solve.h"
 #include "storage/standard_catalog.h"

@@ -1,4 +1,4 @@
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 
 #include <gtest/gtest.h>
 
@@ -38,13 +38,13 @@ class ExhaustiveTest : public ::testing::Test {
 };
 
 TEST_F(ExhaustiveTest, EnumeratesEveryLayout) {
-  DotResult r = ExhaustiveSearch(problem_);
+  DotResult r = ExactSearch(problem_, ExactStrategy::kEnumerate);
   EXPECT_EQ(r.layouts_evaluated, 81);  // 3^4
   ASSERT_TRUE(r.status.ok());
 }
 
 TEST_F(ExhaustiveTest, ReturnsTheTrueOptimum) {
-  DotResult es = ExhaustiveSearch(problem_);
+  DotResult es = ExactSearch(problem_, ExactStrategy::kEnumerate);
   ASSERT_TRUE(es.status.ok());
   // Re-verify by manual enumeration.
   DotOptimizer estimator(problem_);
@@ -66,7 +66,7 @@ TEST_F(ExhaustiveTest, ReturnsTheTrueOptimum) {
 }
 
 TEST_F(ExhaustiveTest, OptimumNeverWorseThanAnyUniformLayout) {
-  DotResult es = ExhaustiveSearch(problem_);
+  DotResult es = ExactSearch(problem_, ExactStrategy::kEnumerate);
   ASSERT_TRUE(es.status.ok());
   DotOptimizer estimator(problem_);
   for (int cls = 0; cls < box_.NumClasses(); ++cls) {
@@ -84,7 +84,7 @@ TEST_F(ExhaustiveTest, InfeasibleWhenNothingFits) {
   for (auto& sc : tiny.classes) sc.set_capacity_gb(0.001);
   DotProblem p = problem_;
   p.box = &tiny;
-  DotResult r = ExhaustiveSearch(p);
+  DotResult r = ExactSearch(p, ExactStrategy::kEnumerate);
   EXPECT_EQ(r.status.code(), StatusCode::kInfeasible);
 }
 
@@ -92,7 +92,8 @@ TEST_F(ExhaustiveTest, GuardRejectsExplosiveInstancesWithAStatus) {
   // The overflow path is an expected outcome, not a programmer error: the
   // run must come back with an OutOfRange status and an empty result, not
   // abort the process.
-  DotResult r = ExhaustiveSearch(problem_, /*max_layouts=*/10);
+  DotResult r =
+      ExactSearch(problem_, ExactStrategy::kEnumerate, /*max_layouts=*/10);
   EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange);
   EXPECT_NE(r.status.message().find("exceeds the guard"), std::string::npos)
       << r.status.ToString();
@@ -110,7 +111,7 @@ TEST_F(ExhaustiveTest, GuardSurvivesOverflowingLayoutCounts) {
   }
   DotProblem p = problem_;
   p.schema = &big;
-  DotResult r = ExhaustiveSearch(p);
+  DotResult r = ExactSearch(p, ExactStrategy::kEnumerate);
   EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange);
   EXPECT_NE(r.status.message().find("3^80"), std::string::npos)
       << r.status.ToString();

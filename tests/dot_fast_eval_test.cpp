@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,8 +16,9 @@
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/exhaustive.h"
+#include "dot/eval_tables.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -65,34 +67,52 @@ void ExpectResultIdentical(const DotResult& fast, const DotResult& full,
   }
 }
 
-/// Compares EvaluateQuick against EvaluateOne on `rounds` random placements
-/// drawn from a random walk (single-object mutations, so consecutive
-/// placements share most of their signature — the plan cache's hit pattern
-/// — while still moving footprint objects, which forces invalidation).
+/// Compares EvaluateQuick and the bound cursor's leaf score against
+/// EvaluateOne on `rounds` random placements drawn from a random walk
+/// (single-object mutations, so consecutive placements share most of their
+/// signature — the plan cache's hit pattern — while still moving footprint
+/// objects, which forces invalidation).
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
   DotOptimizer estimator(problem);
   ThreadPool pool(1);
   CandidateEvaluator evaluator(estimator, &pool);
+  // A bound cursor kept in step with the walk (objects assigned in index
+  // order; a single-object change unassigns LIFO back to that object and
+  // re-assigns) must be exact at every leaf — the contract the exhaustive
+  // scan scores every layout through.
+  FastEvaluator fast(estimator);
+  ASSERT_TRUE(fast.enabled());
+  std::unique_ptr<FastScorer::BoundCursor> cursor =
+      fast.scorer()->MakeBoundCursor();
+  ASSERT_NE(cursor, nullptr);
 
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);
   std::vector<int> placement(static_cast<size_t>(n), 0);
   for (int round = 0; round < rounds; ++round) {
+    int first_changed = 0;
     if (round % 7 == 0) {
       for (int o = 0; o < n; ++o) {
         placement[static_cast<size_t>(o)] =
             static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
       }
+      cursor->Reset();
     } else {
       const size_t o = rng.NextBounded(static_cast<uint64_t>(n));
       placement[o] = static_cast<int>(rng.NextBounded(
           static_cast<uint64_t>(m)));
+      first_changed = static_cast<int>(o);
+      for (int d = n - 1; d >= first_changed; --d) cursor->Unassign(d);
     }
+    for (int d = first_changed; d < n; ++d) cursor->Assign(d, placement);
     const Layout layout(problem.schema, problem.box, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(layout),
-                        evaluator.EvaluateOne(layout), placement);
+    const CandidateEval full = evaluator.EvaluateOne(layout);
+    ExpectEvalIdentical(evaluator.EvaluateQuick(layout), full, placement);
+    const QuickPerf leaf = cursor->Optimistic(placement);
+    ExpectEvalIdentical(fast.EvaluateWithScore(placement, leaf), full,
+                        placement);
   }
   // The walk above must have exercised the cache in both directions.
   if (problem.workload->sla_kind() == SlaKind::kPerQueryResponseTime) {
@@ -199,16 +219,16 @@ TEST_F(DssFastEvalTest, ExhaustiveMatchesSlowPathAtEveryThreadCount) {
   DotProblem slow = problem_;
   slow.options.use_fast_eval = false;
   slow.options.num_threads = 1;
-  const DotResult full = ExhaustiveSearch(slow);
+  const DotResult full = ExactSearch(slow, ExactStrategy::kEnumerate);
   ASSERT_TRUE(full.status.ok()) << full.status.ToString();
   for (int threads : ThreadCounts()) {
     DotProblem fast = problem_;
     fast.options.use_fast_eval = true;
     fast.options.num_threads = threads;
-    const DotResult r = ExhaustiveSearch(fast);
+    const DotResult r = ExactSearch(fast, ExactStrategy::kEnumerate);
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    ExpectResultIdentical(r, full, "ExhaustiveSearch fast vs full");
-    // The cursor walk resolves almost every template probe from the cache:
+    ExpectResultIdentical(r, full, "ExactSearch(kEnumerate) fast vs full");
+    // The odometer walk resolves almost every template probe from the cache:
     // each template's signature space is tiny next to the full M^N space.
     EXPECT_GT(r.plan_cache_hits, r.plan_cache_misses);
   }

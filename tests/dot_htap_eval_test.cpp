@@ -20,7 +20,7 @@
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/exhaustive.h"
+#include "dot/eval_tables.h"
 #include "storage/standard_catalog.h"
 #include "workload/htap_workload.h"
 #include "workload/profiler.h"
@@ -193,31 +193,47 @@ void ExpectEvalIdentical(const CandidateEval& fast, const CandidateEval& full,
   EXPECT_EQ(fast.violation_gb, full.violation_gb) << where;
 }
 
-/// EvaluateQuick vs EvaluateOne on a random single-object-mutation walk
-/// (the plan cache's hit pattern), as in dot_fast_eval_test.
+/// EvaluateQuick and the bound cursor's leaf score vs EvaluateOne on a
+/// random single-object-mutation walk (the plan cache's hit pattern), as
+/// in dot_fast_eval_test.
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
   DotOptimizer estimator(problem);
   ThreadPool pool(1);
   CandidateEvaluator evaluator(estimator, &pool);
+  // The bound cursor, kept in step with the walk (LIFO unassign back to
+  // the changed object, then re-assign), must be exact at every leaf.
+  FastEvaluator fast(estimator);
+  ASSERT_TRUE(fast.enabled());
+  std::unique_ptr<FastScorer::BoundCursor> cursor =
+      fast.scorer()->MakeBoundCursor();
+  ASSERT_NE(cursor, nullptr);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);
   std::vector<int> placement(static_cast<size_t>(n), 0);
   for (int round = 0; round < rounds; ++round) {
+    int first_changed = 0;
     if (round % 7 == 0) {
       for (int o = 0; o < n; ++o) {
         placement[static_cast<size_t>(o)] =
             static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
       }
+      cursor->Reset();
     } else {
       const size_t o = rng.NextBounded(static_cast<uint64_t>(n));
       placement[o] =
           static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+      first_changed = static_cast<int>(o);
+      for (int d = n - 1; d >= first_changed; --d) cursor->Unassign(d);
     }
+    for (int d = first_changed; d < n; ++d) cursor->Assign(d, placement);
     const Layout layout(problem.schema, problem.box, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(layout),
-                        evaluator.EvaluateOne(layout), placement);
+    const CandidateEval full = evaluator.EvaluateOne(layout);
+    ExpectEvalIdentical(evaluator.EvaluateQuick(layout), full, placement);
+    const QuickPerf leaf = cursor->Optimistic(placement);
+    ExpectEvalIdentical(fast.EvaluateWithScore(placement, leaf), full,
+                        placement);
   }
   // The analytic side's plan cache must have seen both traffic kinds.
   EXPECT_GT(evaluator.plan_cache_hits(), 0);

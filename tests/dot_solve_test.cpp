@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,7 +15,7 @@
 
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -90,7 +91,7 @@ TEST_F(SolveFacadeTest, ExactMatchesDirectExactSearchBitwise) {
 }
 
 TEST_F(SolveFacadeTest, EnumerateMatchesExhaustiveSearchBitwise) {
-  const DotResult direct = ExhaustiveSearch(problem_);
+  const DotResult direct = ExactSearch(problem_, ExactStrategy::kEnumerate);
   SolveSpec spec;
   spec.method = SolveMethod::kEnumerate;
   const SolveResult facade = Solve(problem_, spec);
@@ -170,6 +171,34 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
   fleet.method = SolveMethod::kFleet;
   EXPECT_EQ(fleet.Validate(problem_).code(),
             StatusCode::kInvalidArgument);
+
+  // Engine invariants the planners' constructors enforce must be refused
+  // up front too, by Validate and by Solve alike.
+  const auto expect_refused = [&](const SolveSpec& bad, const char* what) {
+    EXPECT_EQ(bad.Validate(problem_).code(), StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(Solve(problem_, bad).status.code(), StatusCode::kInvalidArgument)
+        << what;
+  };
+  for (double weight : {-2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SolveSpec epoch;
+    epoch.method = SolveMethod::kEpochPlan;
+    epoch.migration_weight = weight;
+    expect_refused(epoch, "migration_weight");
+  }
+  const std::vector<FleetTenant> tenants = {{"t0", problem_}};
+  FleetSpec no_iterations;
+  no_iterations.tenants = &tenants;
+  no_iterations.config.price_iterations = 0;
+  FleetSpec no_pool;
+  no_pool.tenants = &tenants;
+  no_pool.config.max_pool_layouts = 0;
+  for (const FleetSpec* bad_fleet : {&no_iterations, &no_pool}) {
+    SolveSpec spec_fleet;
+    spec_fleet.method = SolveMethod::kFleet;
+    spec_fleet.fleet = bad_fleet;
+    expect_refused(spec_fleet, "fleet config");
+  }
 }
 
 TEST_F(SolveFacadeTest, InfeasibleVerdictPassesThroughUnchanged) {
