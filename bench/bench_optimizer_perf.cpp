@@ -372,24 +372,21 @@ void BM_FastScorerKernel(benchmark::State& state) {
   problem.box = &box;
 
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  FastEvaluator evaluator(estimator);
   const int n = schema.NumObjects();
   const int m = box.NumClasses();
   Rng rng(0x5c07e);
-  std::vector<Layout> layouts;
-  std::vector<int> placement(static_cast<size_t>(n), 0);
-  for (int i = 0; i < 64; ++i) {
-    for (int o = 0; o < n; ++o) {
-      placement[static_cast<size_t>(o)] =
-          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+  std::vector<std::vector<int>> layouts(64);
+  for (std::vector<int>& placement : layouts) {
+    placement.resize(static_cast<size_t>(n));
+    for (int& cls : placement) {
+      cls = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
     }
-    layouts.emplace_back(&schema, &box, placement);
   }
   long long scored = 0;
   for (auto _ : state) {
-    for (const Layout& layout : layouts) {
-      benchmark::DoNotOptimize(evaluator.EvaluateQuick(layout).toc);
+    for (const std::vector<int>& placement : layouts) {
+      benchmark::DoNotOptimize(evaluator.EvaluateQuick(placement).toc);
     }
     scored += static_cast<long long>(layouts.size());
   }

@@ -14,7 +14,8 @@
 
 namespace dot {
 
-/// Fixed-size worker pool for the parallel candidate-evaluation engine.
+/// Fixed-size worker pool for the sharded engines (exact searches, epoch
+/// planner, fleet planner, provisioner fan-out).
 ///
 /// A pool of `num_threads` logical execution lanes: `num_threads - 1`
 /// background workers plus the calling thread, which always participates in

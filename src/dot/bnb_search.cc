@@ -12,7 +12,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
-#include "dot/candidate_evaluator.h"
 #include "dot/eval_tables.h"
 #include "dot/layout.h"
 #include "dot/sla.h"
@@ -28,6 +27,14 @@ long long SaturatingAdd(long long a, long long b) {
   if (a > kCountSaturated - b) return kCountSaturated;
   return a + b;
 }
+
+/// Winner of one scan shard or subtree task under the BetterCandidate total
+/// order.
+struct SubtreeBest {
+  bool found = false;
+  double toc = std::numeric_limits<double>::infinity();
+  std::vector<int> placement;
+};
 
 // ---------------------------------------------------------------------------
 // ExactStrategy::kEnumerate — the paper's Exhaustive Search comparator.
@@ -57,22 +64,92 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
 
   DotOptimizer estimator(problem);  // reuse estimateTOC / targets
   result.targets = estimator.targets();
+  const FastEvaluator fast(estimator);
 
-  // Shard the mixed-radix layout space [0, M^N) across the pool; the
-  // reduction under (TOC, lexicographically lowest placement) is a total
-  // order, so the winner is the same at every thread count.
+  // Shard the mixed-radix layout space [0, M^N) (placement[o] =
+  // (index / M^o) mod M — digit 0 least significant, the serial odometer's
+  // order) across the pool. Oversplit relative to the lane count for load
+  // balance. The shard count (and thus the boundaries) DOES vary with the
+  // thread count — determinism comes solely from the merge below being a
+  // minimum under the BetterCandidate total order, which picks the same
+  // winner for any partition of the space. Do not replace the reduction
+  // with a first-found or shard-order rule. The fast path keeps this safe:
+  // every scalar a candidate is scored from is a fixed-order sum over
+  // tables, so its value cannot depend on which shard (or thread)
+  // evaluated it.
   ThreadPool pool(problem.options.num_threads);
-  const CandidateEvaluator evaluator(estimator, &pool);
-  CandidateEvaluator::SpaceScan scan = evaluator.ScanLayoutSpace(0, total);
+  const int num_shards =
+      static_cast<int>(std::min<long long>(total, 8LL * pool.num_threads()));
+  std::vector<SubtreeBest> per_shard(static_cast<size_t>(num_shards));
 
-  result.layouts_evaluated = scan.evaluated;
-  result.plan_cache_hits = evaluator.plan_cache_hits();
-  result.plan_cache_misses = evaluator.plan_cache_misses();
-  if (scan.feasible_found) {
-    result.placement = std::move(scan.best_placement);
-    result.toc_cents_per_task = scan.best.toc;
-    result.layout_cost_cents_per_hour = scan.best.cost_cents_per_hour;
-    result.estimate = std::move(scan.best.estimate);
+  pool.ParallelForShards(
+      0, total, num_shards,
+      [&](int shard, int64_t shard_begin, int64_t shard_end) {
+        SubtreeBest local;
+        std::vector<int> placement = DecodeLayoutIndex(shard_begin, n, m);
+        // Drive the scorer's bound cursor along the odometer. Digit 0 (the
+        // least significant) is assigned last, so a step that rolls digits
+        // 0..k unassigns them in LIFO order and re-assigns k..0; every step
+        // is a fully assigned leaf, where Optimistic() is exact (the
+        // BoundCursor leaf contract, workload.h). For DSS only the
+        // templates whose footprint holds a rolled digit re-resolve.
+        std::unique_ptr<FastScorer::BoundCursor> cursor;
+        if (fast.scorer() != nullptr) cursor = fast.scorer()->MakeBoundCursor();
+        if (cursor != nullptr) {
+          for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
+        }
+        for (int64_t idx = shard_begin; idx < shard_end; ++idx) {
+          const CandidateEval eval =
+              cursor != nullptr
+                  ? fast.EvaluateWithScore(placement,
+                                           cursor->Optimistic(placement))
+                  : fast.EvaluateQuick(placement);
+          if (eval.feasible &&
+              (!local.found || BetterCandidate(eval.toc, placement, local.toc,
+                                               local.placement))) {
+            local.found = true;
+            local.toc = eval.toc;
+            local.placement = placement;
+          }
+          // Advance the M-ary odometer (digit 0 least significant); `top`
+          // is the highest digit that changed — almost always 0.
+          int top = 0;
+          while (top < n) {
+            const size_t d = static_cast<size_t>(top);
+            if (++placement[d] < m) break;
+            placement[d] = 0;
+            ++top;
+          }
+          // A shard's last step (the only one that can wrap all N digits)
+          // leaves the cursor alone.
+          if (cursor == nullptr || idx + 1 == shard_end) continue;
+          for (int d = 0; d <= top; ++d) cursor->Unassign(d);
+          for (int d = top; d >= 0; --d) cursor->Assign(d, placement);
+        }
+        per_shard[static_cast<size_t>(shard)] = std::move(local);
+      });
+
+  SubtreeBest best;
+  for (SubtreeBest& shard : per_shard) {
+    if (!shard.found) continue;
+    if (!best.found || BetterCandidate(shard.toc, shard.placement, best.toc,
+                                       best.placement)) {
+      best = std::move(shard);
+    }
+  }
+
+  result.layouts_evaluated = total;
+  result.plan_cache_hits = fast.plan_cache_hits();
+  result.plan_cache_misses = fast.plan_cache_misses();
+  if (best.found) {
+    // Quick evaluations carry no PerfEstimate; re-score the winner through
+    // the full path (bit-identical toc/cost, now with the estimate filled).
+    CandidateEval eval = EvaluateOneWith(
+        estimator, Layout(problem.schema, problem.box, best.placement));
+    result.placement = std::move(best.placement);
+    result.toc_cents_per_task = eval.toc;
+    result.layout_cost_cents_per_hour = eval.cost_cents_per_hour;
+    result.estimate = std::move(eval.estimate);
   } else {
     result.status = Status::Infeasible(
         "no layout satisfies the capacity and SLA constraints");
@@ -101,21 +178,13 @@ struct BnbStats {
   }
 };
 
-/// Winner of one subtree task under the BetterCandidate total order.
-struct SubtreeBest {
-  bool found = false;
-  double toc = std::numeric_limits<double>::infinity();
-  std::vector<int> placement;
-};
-
 /// Everything the subtree walkers share, read-only during the parallel
 /// phase. The assignment order, suffix tables, shard depth, and seed
 /// incumbent depend only on the problem — never on the thread count — which
 /// is what makes every counter and the task set deterministic.
 struct BnbShared {
   const DotProblem* problem = nullptr;
-  const DotOptimizer* estimator = nullptr;
-  const FastEvaluator* fast = nullptr;  ///< null: full-path leaves, no bound
+  const FastEvaluator* fast = nullptr;
   const FastScorer* scorer = nullptr;   ///< null: no performance bound
   int n = 0;
   int m = 0;
@@ -315,9 +384,7 @@ class SubtreeWalker {
                                              cursor_->Optimistic(placement_));
           cursor_->Unassign(obj);
         } else {
-          eval = CandidateEvaluator::EvaluateOneWith(
-              *sh_.estimator,
-              Layout(sh_.problem->schema, sh_.problem->box, placement_));
+          eval = sh_.fast->EvaluateQuick(placement_);
         }
         stats_.leaves += 1;
         if (eval.feasible) ConsiderLeaf(eval.toc);
@@ -485,17 +552,12 @@ DotResult BranchAndBoundSearch(
   DotOptimizer estimator(problem);
   result.targets = estimator.targets();
 
-  std::unique_ptr<FastEvaluator> fast;
-  if (problem.options.use_fast_eval) {
-    auto f = std::make_unique<FastEvaluator>(estimator);
-    if (f->enabled()) fast = std::move(f);
-  }
+  const FastEvaluator fast(estimator);
 
   BnbShared sh;
   sh.problem = &problem;
-  sh.estimator = &estimator;
-  sh.fast = fast.get();
-  sh.scorer = fast != nullptr ? fast->scorer() : nullptr;
+  sh.fast = &fast;
+  sh.scorer = fast.scorer();
   sh.n = n;
   sh.m = m;
 
@@ -583,11 +645,7 @@ DotResult BranchAndBoundSearch(
   double seed = std::numeric_limits<double>::infinity();
   for (int cls = 0; cls < m; ++cls) {
     const std::vector<int> uniform = UniformPlacement(n, cls);
-    const CandidateEval eval =
-        fast != nullptr
-            ? fast->EvaluateQuick(uniform)
-            : CandidateEvaluator::EvaluateOneWith(
-                  estimator, Layout(problem.schema, problem.box, uniform));
+    const CandidateEval eval = fast.EvaluateQuick(uniform);
     if (eval.feasible) seed = std::min(seed, eval.toc);
   }
   if (problem.profiles != nullptr) {
@@ -603,11 +661,7 @@ DotResult BranchAndBoundSearch(
       bool in_range = true;
       for (int cls : w) in_range = in_range && cls >= 0 && cls < m;
       if (!in_range) continue;
-      const CandidateEval eval =
-          fast != nullptr ? fast->EvaluateQuick(w)
-                          : CandidateEvaluator::EvaluateOneWith(
-                                estimator, Layout(problem.schema,
-                                                  problem.box, w));
+      const CandidateEval eval = fast.EvaluateQuick(w);
       if (eval.feasible) {
         seed = std::min(seed, eval.toc);
         ++result.warm_start_hits;
@@ -664,7 +718,7 @@ DotResult BranchAndBoundSearch(
   }
 
   // Reduce under the BetterCandidate total order (any reduction order
-  // yields the same winner; see candidate_evaluator.h).
+  // yields the same winner; see eval_tables.h).
   for (size_t i = 0; i < tasks.size(); ++i) {
     stats.Add(task_stats[static_cast<size_t>(i)]);
     SubtreeBest& cand = task_best[static_cast<size_t>(i)];
@@ -690,16 +744,14 @@ DotResult BranchAndBoundSearch(
   }
   result.arena_resets = static_cast<long long>(arena_resets);
   result.arena_bytes_peak = static_cast<long long>(arena_peak);
-  if (fast != nullptr) {
-    result.plan_cache_hits = fast->plan_cache_hits();
-    result.plan_cache_misses = fast->plan_cache_misses();
-  }
+  result.plan_cache_hits = fast.plan_cache_hits();
+  result.plan_cache_misses = fast.plan_cache_misses();
 
   if (best.found) {
     // Re-score the winner through the full path (bit-identical toc/cost,
     // now with the PerfEstimate filled) — exactly what the enumerating
     // search does with its winner.
-    const CandidateEval eval = CandidateEvaluator::EvaluateOneWith(
+    const CandidateEval eval = EvaluateOneWith(
         estimator, Layout(problem.schema, problem.box, best.placement));
     DOT_CHECK(eval.feasible) << "winner infeasible on full re-score";
     result.placement = std::move(best.placement);

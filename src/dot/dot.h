@@ -25,7 +25,6 @@
 #include "catalog/tpch_schema.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
 #include "dot/ensemble.h"
 #include "dot/eval_tables.h"
 #include "dot/layout.h"

@@ -10,12 +10,64 @@
 
 namespace dot {
 
+bool BetterCandidate(double toc_a, const std::vector<int>& placement_a,
+                     double toc_b, const std::vector<int>& placement_b) {
+  if (toc_a != toc_b) return toc_a < toc_b;
+  return placement_a < placement_b;
+}
+
+std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
+                                   int num_classes) {
+  DOT_CHECK(index >= 0 && num_objects >= 0 && num_classes >= 1);
+  std::vector<int> placement(static_cast<size_t>(num_objects), 0);
+  for (int o = 0; o < num_objects && index != 0; ++o) {
+    placement[static_cast<size_t>(o)] = static_cast<int>(index % num_classes);
+    index /= num_classes;
+  }
+  DOT_CHECK(index == 0) << "layout index out of range for the M^N space";
+  return placement;
+}
+
+long long LayoutSpaceSize(int num_objects, int num_classes) {
+  DOT_CHECK(num_objects >= 0 && num_classes >= 1);
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  long long total = 1;
+  for (int o = 0; o < num_objects; ++o) {
+    if (total > kMax / num_classes) return kMax;
+    total *= num_classes;
+  }
+  return total;
+}
+
+CandidateEval EvaluateOneWith(const DotOptimizer& estimator,
+                              const Layout& layout) {
+  CandidateEval eval;
+  const Layout::CapacityFit fit = layout.ComputeCapacityFit();
+  eval.fits = fit.fits;
+  eval.violation_gb = fit.violation_gb;
+  if (!eval.fits) {
+    eval.toc = std::numeric_limits<double>::infinity();
+    return eval;
+  }
+  // EstimateToc owns the SLA verdict: MeetsTargets on the point forecast,
+  // the chance constraint under an ensemble.
+  bool sla_ok = false;
+  eval.toc = estimator.EstimateToc(layout, &eval.estimate,
+                                   &eval.cost_cents_per_hour, &sla_ok);
+  eval.feasible = sla_ok;
+  if (!eval.feasible) eval.toc = std::numeric_limits<double>::infinity();
+  return eval;
+}
+
 FastEvaluator::FastEvaluator(const DotOptimizer& estimator)
     : estimator_(estimator) {
   const DotProblem& problem = estimator_.problem();
+  // The one reader of use_fast_eval: off, every verdict takes the full
+  // path (the fast-vs-full equivalence tests' oracle).
+  if (!problem.options.use_fast_eval) return;
   if (problem.box->NumClasses() > kMaxClasses) {
-    // Out of stack budget: stay disabled and let the engine use the full
-    // path — such a box must still optimize, just not fast.
+    // Out of stack budget: stay disabled and use the full path — such a
+    // box must still optimize, just not fast.
     return;
   }
   size_gb_.reserve(static_cast<size_t>(problem.schema->NumObjects()));
@@ -59,7 +111,7 @@ bool FastEvaluator::FitAndCost(const std::vector<int>& placement,
   eval->fits = fit.fits;
   eval->violation_gb = fit.violation_gb;
   if (!eval->fits) {
-    // EvaluateOne skips estimation for over-capacity candidates; so do we.
+    // Like EvaluateOneWith, skip estimation for over-capacity candidates.
     eval->toc = std::numeric_limits<double>::infinity();
     return false;
   }
@@ -80,7 +132,11 @@ CandidateEval FastEvaluator::Finish(CandidateEval eval,
 
 CandidateEval FastEvaluator::EvaluateQuick(
     const std::vector<int>& placement) const {
-  DOT_CHECK(scorer_ != nullptr);
+  if (scorer_ == nullptr) {
+    const DotProblem& problem = estimator_.problem();
+    return EvaluateOneWith(estimator_,
+                           Layout(problem.schema, problem.box, placement));
+  }
   CandidateEval eval;
   if (!FitAndCost(placement, &eval)) return eval;
   return Finish(eval, scorer_->Score(placement));
@@ -88,6 +144,7 @@ CandidateEval FastEvaluator::EvaluateQuick(
 
 CandidateEval FastEvaluator::EvaluateWithScore(
     const std::vector<int>& placement, const QuickPerf& qp) const {
+  DOT_CHECK(scorer_ != nullptr);
   CandidateEval eval;
   if (!FitAndCost(placement, &eval)) return eval;
   return Finish(eval, qp);

@@ -4,19 +4,57 @@
 #include <memory>
 #include <vector>
 
-#include "dot/candidate_evaluator.h"
 #include "dot/layout.h"
 #include "dot/optimizer.h"
+#include "dot/sla.h"
 #include "workload/workload.h"
 
 namespace dot {
 
-/// The TOC-only candidate evaluation fast path (DESIGN.md §4).
+/// Verdict of one candidate-layout evaluation. Pure data: producing one has
+/// no side effects, so evaluations can run on any thread and be committed
+/// later by the (deterministic) search driver.
+struct CandidateEval {
+  /// Σ s_o < c_j on every class (strict — an exactly-full class does not
+  /// fit; the Layout::ComputeCapacityFit rule).
+  bool fits = false;
+  /// fits && meets every performance target.
+  bool feasible = false;
+  /// estimateTOC, cents/task; +inf when the candidate is infeasible.
+  double toc = 0.0;
+  /// C(L) in cents/hour (0 when the candidate does not fit).
+  double cost_cents_per_hour = 0.0;
+  /// Total over-capacity volume, GB (the optimizer's escape gradient).
+  double violation_gb = 0.0;
+  /// Workload estimate; meaningful only when `fits`.
+  PerfEstimate estimate;
+};
+
+/// Total order used everywhere a best layout is selected: lower TOC wins,
+/// exact TOC ties broken by the lexicographically lowest placement. Because
+/// the order is total and depends only on (toc, placement), any reduction
+/// over any partition of candidates — per-shard minima merged in shard
+/// order, or a serial scan — picks the same winner, which is what makes the
+/// sharded exact searches bit-identical to the serial path at every thread
+/// count.
+bool BetterCandidate(double toc_a, const std::vector<int>& placement_a,
+                     double toc_b, const std::vector<int>& placement_b);
+
+/// The full-path evaluation rule: capacity fit, then estimateTOC with the
+/// full PerfEstimate materialized. The one implementation of the rule —
+/// FastEvaluator falls back to it, and every engine re-scores its winner
+/// (and the epoch planner scores its pool) through it.
+CandidateEval EvaluateOneWith(const DotOptimizer& estimator,
+                              const Layout& layout);
+
+/// The candidate evaluator every search scores layouts through
+/// (DESIGN.md §4).
 ///
-/// Both search phases consume only {toc, cost, feasibility, violation} per
+/// The searches consume only {toc, cost, feasibility, violation} per
 /// candidate, yet the full path re-plans every query template and
-/// heap-allocates an N-object PerfEstimate each time. This class scores a
-/// candidate from precomputed per-object tables instead:
+/// heap-allocates an N-object PerfEstimate each time. When the fast path is
+/// enabled this class scores a candidate from precomputed per-object tables
+/// instead:
 ///
 ///   * space/capacity/cost: a fixed-order sum of per-object sizes into a
 ///     stack buffer, priced by the same span kernels Layout uses;
@@ -24,23 +62,26 @@ namespace dot {
 ///     for OLTP, a footprint-keyed plan cache for DSS, and for HTAP a
 ///     composite of both plus the interference tables).
 ///
-/// Every value is bit-identical to what EvaluateOne/EstimateToc would
+/// Every value is bit-identical to what EvaluateOneWith/EstimateToc would
 /// produce — the fast path reorganizes the arithmetic, it never
 /// approximates — so search decisions (and therefore results) are unchanged
 /// and only the committed winner needs a full re-score to fill in its
 /// PerfEstimate.
 class FastEvaluator {
  public:
-  /// Builds the tables once for the run. Disabled (enabled() == false) when
-  /// the workload model offers no FastScorer; callers then use the full
-  /// path.
+  /// Builds the tables once for the run. The fast path stays disabled
+  /// (enabled() == false) when the problem sets `use_fast_eval = false` or
+  /// the workload model offers no FastScorer; EvaluateQuick then returns
+  /// the full-path verdict.
   explicit FastEvaluator(const DotOptimizer& estimator);
   ~FastEvaluator();
 
   bool enabled() const { return scorer_ != nullptr; }
 
-  /// Scores one candidate without materializing a PerfEstimate
-  /// (CandidateEval::estimate stays empty). Thread-safe.
+  /// Scores one candidate. With the fast path enabled no PerfEstimate is
+  /// materialized (CandidateEval::estimate stays empty); disabled, this is
+  /// EvaluateOneWith. Either way toc/cost/feasibility/violation are the
+  /// full path's, bit for bit. Thread-safe.
   CandidateEval EvaluateQuick(const std::vector<int>& placement) const;
 
   /// Exact-search leaf path (branch-and-bound leaves, exhaustive-scan
@@ -48,17 +89,17 @@ class FastEvaluator {
   /// EvaluateQuick, but the workload score is supplied by the caller (the
   /// bound cursor's Optimistic(), which is exact at a fully assigned
   /// placement). Bit-identical to EvaluateQuick whenever `qp` equals what
-  /// the scorer would produce. Thread-safe.
+  /// the scorer would produce. Requires enabled(). Thread-safe.
   CandidateEval EvaluateWithScore(const std::vector<int>& placement,
                                   const QuickPerf& qp) const;
 
-  /// The underlying workload scorer (never null while enabled()); the
-  /// exact searches build their BoundCursors from it (one per subtree task
-  /// or scan shard).
+  /// The underlying workload scorer (null when the fast path is disabled);
+  /// the exact searches build their BoundCursors from it (one per subtree
+  /// task or scan shard).
   const FastScorer* scorer() const { return scorer_.get(); }
 
-  /// Plan-cache traffic of the underlying scorer (0/0 when the model has no
-  /// plan cache, e.g. OLTP).
+  /// Plan-cache traffic of the underlying scorer (0/0 when the fast path
+  /// is disabled or the model has no plan cache, e.g. OLTP).
   long long plan_cache_hits() const;
   long long plan_cache_misses() const;
 
@@ -77,6 +118,15 @@ class FastEvaluator {
   std::vector<double> size_gb_;  ///< per object, schema order
   std::unique_ptr<FastScorer> scorer_;
 };
+
+/// placement[o] = (index / M^o) mod M for an N-digit, radix-M space.
+std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
+                                   int num_classes);
+
+/// M^N, the size of the N-digit, radix-M layout space, saturating at
+/// LLONG_MAX instead of wrapping: 3^40 and the like must produce a clean
+/// refusal from a `> cap` guard, not undefined behaviour.
+long long LayoutSpaceSize(int num_objects, int num_classes);
 
 }  // namespace dot
 

@@ -41,7 +41,7 @@ class Layout {
   Status CheckCapacity() const;
 
   /// One-pass capacity accounting, the single source of the fit rule the
-  /// candidate-evaluation engine shares with CheckCapacity: `fits` iff
+  /// candidate evaluator shares with CheckCapacity: `fits` iff
   /// used < c_j on every class, `violation_gb` = Σ_j max(0, S_j - c_j).
   /// (fits can be false while violation_gb == 0: used == c_j exactly.)
   struct CapacityFit {

@@ -59,8 +59,9 @@ struct DotResult {
   /// DSS plan-cache traffic of the run's fast evaluation path (both 0 for
   /// OLTP models, which have no plan cache, and when the fast path is
   /// disabled; HTAP models report their analytic side's cache). Diagnostics
-  /// only: the counts vary with thread count even though the search result
-  /// does not.
+  /// only. The serial DOT walk reports the same counts at every thread
+  /// count; in the exact searches (branch-and-bound, enumeration) they
+  /// vary with it even though the search result does not.
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 
@@ -80,7 +81,10 @@ struct DotResult {
 /// The heuristic optimization phase of DOT (Procedure 1): start from L0
 /// (everything on the most expensive class), apply the score-ordered move
 /// sequence from enumerateMoves one by one, keep every feasible layout,
-/// and return the feasible layout with the lowest estimated TOC.
+/// and return the feasible layout with the lowest estimated TOC. Each
+/// accepted move changes the layout every later move is judged against, so
+/// the walk runs serially on the calling thread and ignores
+/// `options.num_threads` (DESIGN.md §2).
 ///
 /// Prefer dot::Solve(problem, {SolveMethod::kDotHeuristic}) over calling
 /// Optimize() directly (dot/solve.h): the facade is the documented entry

@@ -34,9 +34,11 @@ enum class MoveAcceptance {
 /// can change a result (only wall-clock), except the ablation knobs whose
 /// defaults reproduce the full DOT method.
 struct SearchOptions {
-  /// Execution lanes for the parallel candidate-evaluation engine: both
-  /// search phases batch estimateTOC calls across this many threads
-  /// (1 = serial, 0 = std::thread::hardware_concurrency()). Results are
+  /// Execution lanes (1 = serial, 0 = std::thread::hardware_concurrency())
+  /// for the engines that shard work: branch-and-bound subtree tasks, the
+  /// enumerating scan's layout-space shards, the epoch planner's pool-
+  /// matrix fill and the fleet planner's pool builds. The DOT heuristic
+  /// (Procedure 1) is a sequential walk and ignores it. Results are
   /// bit-identical at every setting — candidates are reduced under a total
   /// order (TOC, then lexicographically lowest placement), never by arrival
   /// time.

@@ -1,5 +1,6 @@
 #include "dot/solve.h"
 
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -40,6 +41,22 @@ SolveResult FromDot(DotResult result, SolveMethod method,
   return out;
 }
 
+/// The inputs target derivation and the estimators abort on. The epoch
+/// planner ignores targets_override and io_scale_hint, so under it targets
+/// always come from relative_sla and the hint is never read.
+Status CheckTargetInputs(const DotProblem& p, bool epoch) {
+  if ((epoch || p.targets_override == nullptr) &&
+      !(p.relative_sla > 0.0 && p.relative_sla <= 1.0)) {
+    return Status::InvalidArgument("relative_sla must be in (0, 1]");
+  }
+  if (!epoch && !p.io_scale_hint.empty() &&
+      static_cast<int>(p.io_scale_hint.size()) != p.schema->NumObjects()) {
+    return Status::InvalidArgument(
+        "io_scale_hint must be empty or have one entry per object");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SolveSpec::Validate(const DotProblem& problem) const {
@@ -55,10 +72,24 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
   if (problem.box == nullptr) {
     return Status::InvalidArgument("DotProblem::box is null");
   }
+  for (const ScenarioEnsemble* e : {ensemble, problem.ensemble}) {
+    if (e != nullptr && (e->size() < 1 || e->size() > kMaxScenarios)) {
+      return Status::InvalidArgument(
+          "ensemble size must be in [1, " + std::to_string(kMaxScenarios) +
+          "], got " + std::to_string(e->size()));
+    }
+  }
   if (method != SolveMethod::kFleet) {
     if (problem.schema == nullptr || problem.workload == nullptr) {
       return Status::InvalidArgument(
           "DotProblem::schema and ::workload must be set");
+    }
+    Status st = CheckTargetInputs(problem, method == SolveMethod::kEpochPlan);
+    if (!st.ok()) return st;
+    if (method == SolveMethod::kDotHeuristic && problem.profiles == nullptr) {
+      return Status::InvalidArgument(
+          "kDotHeuristic needs DotProblem::profiles from the profiling "
+          "phase");
     }
     // The ReprovisionPlanner invariant, checked here so a bad weight
     // (negative, or NaN) returns a Status instead of aborting.
@@ -93,6 +124,10 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       return Status::InvalidArgument(
           "tenant " + t.name +
           " carries a scenario ensemble; fleet mode is point-forecast");
+    }
+    Status st = CheckTargetInputs(t.problem, /*epoch=*/false);
+    if (!st.ok()) {
+      return Status::InvalidArgument("tenant " + t.name + ": " + st.message());
     }
   }
   // The FleetPlanner invariants, checked here so they return a Status

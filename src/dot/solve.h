@@ -99,10 +99,14 @@ struct SolveSpec {
   const FleetSpec* fleet = nullptr;
 
   /// Checks this spec against `problem` and returns the exact status
-  /// Solve() would fail with: null problem inputs, an ensemble overlay on
-  /// a method that cannot honor it, a negative or NaN migration_weight
-  /// (kEpochPlan), or a malformed fleet spec (including a non-positive
-  /// max_pool_layouts or price_iterations). Solve()
+  /// Solve() would fail with: null problem inputs, a relative_sla outside
+  /// (0, 1] (unless a targets_override replaces it), an io_scale_hint that
+  /// is neither empty nor one entry per object, kDotHeuristic without
+  /// profiles, an ensemble (spec or problem) with a size outside
+  /// [1, kMaxScenarios] or overlaid on a method that cannot honor it, a
+  /// negative or NaN migration_weight (kEpochPlan), or a malformed fleet
+  /// spec (including a non-positive max_pool_layouts or price_iterations).
+  /// Solve()
   /// calls this first and returns the error in SolveResult::status — it no
   /// longer aborts on spec/problem mismatches — so drivers that assemble
   /// specs from config can pre-flight them.
@@ -134,7 +138,8 @@ struct SolveProvenance {
   long long nodes_pruned_infeasible = 0;
 
   /// DSS plan-cache traffic of the run's fast path (single-shot methods;
-  /// thread-count dependent, diagnostics only — dot/optimizer.h).
+  /// diagnostics only). Thread-count dependent in kExact and kEnumerate,
+  /// fixed in kDotHeuristic (dot/optimizer.h).
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 

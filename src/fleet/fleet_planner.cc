@@ -11,7 +11,7 @@
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
+#include "dot/eval_tables.h"
 #include "dot/layout.h"
 #include "dot/optimizer.h"
 #include "workload/workload.h"
@@ -128,15 +128,15 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   // Score every candidate through the searches' own kernel (the TOC fast
   // path — bit-identical to the full estimate, dot/eval_tables.h).
   const DotOptimizer estimator(p);
-  ThreadPool serial(1);
-  const CandidateEvaluator evaluator(estimator, &serial);
+  const FastEvaluator evaluator(estimator);
   std::vector<Layout> layouts;
+  std::vector<CandidateEval> evals;
   layouts.reserve(candidates.size());
+  evals.reserve(candidates.size());
   for (const std::vector<int>& c : candidates) {
     layouts.emplace_back(p.schema, box, c);
+    evals.push_back(evaluator.EvaluateQuick(c));
   }
-  const std::vector<CandidateEval> evals =
-      evaluator.EvaluateBatchQuick(layouts);
   out.layouts_evaluated += static_cast<long long>(candidates.size());
 
   // Keep the feasible ones, in BetterCandidate order.

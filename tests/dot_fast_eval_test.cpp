@@ -15,9 +15,7 @@
 #include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
 #include "dot/eval_tables.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
@@ -68,15 +66,13 @@ void ExpectResultIdentical(const DotResult& fast, const DotResult& full,
 }
 
 /// Compares EvaluateQuick and the bound cursor's leaf score against
-/// EvaluateOne on `rounds` random placements drawn from a random walk
+/// EvaluateOneWith on `rounds` random placements drawn from a random walk
 /// (single-object mutations, so consecutive placements share most of their
 /// signature — the plan cache's hit pattern — while still moving footprint
 /// objects, which forces invalidation).
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
   // A bound cursor kept in step with the walk (objects assigned in index
   // order; a single-object change unassigns LIFO back to that object and
   // re-assigns) must be exact at every leaf — the contract the exhaustive
@@ -107,17 +103,17 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
       for (int d = n - 1; d >= first_changed; --d) cursor->Unassign(d);
     }
     for (int d = first_changed; d < n; ++d) cursor->Assign(d, placement);
-    const Layout layout(problem.schema, problem.box, placement);
-    const CandidateEval full = evaluator.EvaluateOne(layout);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(layout), full, placement);
+    const CandidateEval full = EvaluateOneWith(
+        estimator, Layout(problem.schema, problem.box, placement));
+    ExpectEvalIdentical(fast.EvaluateQuick(placement), full, placement);
     const QuickPerf leaf = cursor->Optimistic(placement);
     ExpectEvalIdentical(fast.EvaluateWithScore(placement, leaf), full,
                         placement);
   }
   // The walk above must have exercised the cache in both directions.
   if (problem.workload->sla_kind() == SlaKind::kPerQueryResponseTime) {
-    EXPECT_GT(evaluator.plan_cache_hits(), 0);
-    EXPECT_GT(evaluator.plan_cache_misses(), 0);
+    EXPECT_GT(fast.plan_cache_hits(), 0);
+    EXPECT_GT(fast.plan_cache_misses(), 0);
   }
 }
 
@@ -164,14 +160,16 @@ TEST_F(DssFastEvalTest, RandomizedPlacementsMatchWithIoScaleHint) {
 
 TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   DotOptimizer estimator(problem_);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  FastEvaluator evaluator(estimator);
+  ASSERT_TRUE(evaluator.enabled());
+  const auto full = [&](const std::vector<int>& placement) {
+    return EvaluateOneWith(estimator, Layout(&schema_, &box_, placement));
+  };
 
   std::vector<int> placement =
       UniformPlacement(schema_.NumObjects(), box_.MostExpensiveClass());
-  const Layout base(&schema_, &box_, placement);
-  ExpectEvalIdentical(evaluator.EvaluateQuick(base),
-                      evaluator.EvaluateOne(base), placement);
+  ExpectEvalIdentical(evaluator.EvaluateQuick(placement), full(placement),
+                      placement);
   const long long misses_before = evaluator.plan_cache_misses();
 
   // Move lineitem (in the footprint of most subset templates): every
@@ -181,19 +179,43 @@ TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   ASSERT_GE(lineitem, 0);
   for (int cls = 0; cls < box_.NumClasses(); ++cls) {
     placement[static_cast<size_t>(lineitem)] = cls;
-    const Layout moved(&schema_, &box_, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(moved),
-                        evaluator.EvaluateOne(moved), placement);
+    ExpectEvalIdentical(evaluator.EvaluateQuick(placement), full(placement),
+                        placement);
   }
   EXPECT_GT(evaluator.plan_cache_misses(), misses_before);
 
   // Returning to an already-seen signature must hit, not re-plan.
   const long long misses_after = evaluator.plan_cache_misses();
   placement[static_cast<size_t>(lineitem)] = box_.MostExpensiveClass();
-  const Layout back(&schema_, &box_, placement);
-  ExpectEvalIdentical(evaluator.EvaluateQuick(back),
-                      evaluator.EvaluateOne(back), placement);
+  ExpectEvalIdentical(evaluator.EvaluateQuick(placement), full(placement),
+                      placement);
   EXPECT_EQ(evaluator.plan_cache_misses(), misses_after);
+}
+
+TEST_F(DssFastEvalTest, DisabledFastPathReturnsTheFullVerdict) {
+  // use_fast_eval = false leaves the evaluator without a scorer, and
+  // EvaluateQuick then is the full path itself: same verdict, estimate
+  // filled, no plan-cache traffic.
+  DotProblem slow = problem_;
+  slow.options.use_fast_eval = false;
+  DotOptimizer estimator(slow);
+  FastEvaluator evaluator(estimator);
+  EXPECT_FALSE(evaluator.enabled());
+  EXPECT_EQ(evaluator.scorer(), nullptr);
+  Rng rng(0xd15ab1e);
+  const uint64_t m = static_cast<uint64_t>(box_.NumClasses());
+  std::vector<int> placement(static_cast<size_t>(schema_.NumObjects()), 0);
+  for (int round = 0; round < 20; ++round) {
+    for (int& cls : placement) cls = static_cast<int>(rng.NextBounded(m));
+    const CandidateEval quick = evaluator.EvaluateQuick(placement);
+    const CandidateEval full =
+        EvaluateOneWith(estimator, Layout(&schema_, &box_, placement));
+    ExpectEvalIdentical(quick, full, placement);
+    EXPECT_EQ(quick.estimate.elapsed_ms, full.estimate.elapsed_ms);
+    EXPECT_EQ(quick.estimate.unit_times_ms, full.estimate.unit_times_ms);
+  }
+  EXPECT_EQ(evaluator.plan_cache_hits(), 0);
+  EXPECT_EQ(evaluator.plan_cache_misses(), 0);
 }
 
 TEST_F(DssFastEvalTest, OptimizeMatchesSlowPathAtEveryThreadCount) {

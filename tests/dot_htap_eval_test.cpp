@@ -17,9 +17,7 @@
 #include "catalog/chbench.h"
 #include "catalog/tpcc_schema.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
 #include "dot/eval_tables.h"
 #include "storage/standard_catalog.h"
 #include "workload/htap_workload.h"
@@ -193,14 +191,12 @@ void ExpectEvalIdentical(const CandidateEval& fast, const CandidateEval& full,
   EXPECT_EQ(fast.violation_gb, full.violation_gb) << where;
 }
 
-/// EvaluateQuick and the bound cursor's leaf score vs EvaluateOne on a
+/// EvaluateQuick and the bound cursor's leaf score vs EvaluateOneWith on a
 /// random single-object-mutation walk (the plan cache's hit pattern), as
 /// in dot_fast_eval_test.
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
   // The bound cursor, kept in step with the walk (LIFO unassign back to
   // the changed object, then re-assign), must be exact at every leaf.
   FastEvaluator fast(estimator);
@@ -228,16 +224,16 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
       for (int d = n - 1; d >= first_changed; --d) cursor->Unassign(d);
     }
     for (int d = first_changed; d < n; ++d) cursor->Assign(d, placement);
-    const Layout layout(problem.schema, problem.box, placement);
-    const CandidateEval full = evaluator.EvaluateOne(layout);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(layout), full, placement);
+    const CandidateEval full = EvaluateOneWith(
+        estimator, Layout(problem.schema, problem.box, placement));
+    ExpectEvalIdentical(fast.EvaluateQuick(placement), full, placement);
     const QuickPerf leaf = cursor->Optimistic(placement);
     ExpectEvalIdentical(fast.EvaluateWithScore(placement, leaf), full,
                         placement);
   }
   // The analytic side's plan cache must have seen both traffic kinds.
-  EXPECT_GT(evaluator.plan_cache_hits(), 0);
-  EXPECT_GT(evaluator.plan_cache_misses(), 0);
+  EXPECT_GT(fast.plan_cache_hits(), 0);
+  EXPECT_GT(fast.plan_cache_misses(), 0);
 }
 
 TEST(HtapFastEvalTest, RandomizedPlacementsMatchFullPathExactly) {

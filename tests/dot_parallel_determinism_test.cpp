@@ -1,6 +1,6 @@
-// The parallel candidate-evaluation engine must be invisible in the
-// results: Optimize() and ExactSearch(kEnumerate) at any thread count
-// return the same placement, TOC, cost, and evaluation count —
+// The thread count must be invisible in the results: Optimize() (a serial
+// walk that ignores it) and ExactSearch(kEnumerate) (sharded) at any
+// thread count return the same placement, TOC, cost, and evaluation count —
 // bit-identical doubles, not approximately equal — because candidates are
 // reduced under a total order (TOC, then lexicographically lowest
 // placement), never by arrival time.
@@ -12,7 +12,7 @@
 
 #include "catalog/tpch_schema.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
+#include "dot/eval_tables.h"
 #include "dot/optimizer.h"
 #include "dot/provisioner.h"
 #include "storage/standard_catalog.h"
@@ -83,7 +83,12 @@ TEST_F(ParallelDeterminismTest, OptimizeIsIdenticalAtEveryThreadCount) {
     DotResult r = DotOptimizer(p).Optimize();
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
     ExpectIdentical(baseline, r, "Optimize");
+    // The walk is serial at every setting, so it scores the same candidates
+    // in the same order and the plan cache sees the same traffic.
+    EXPECT_EQ(baseline.plan_cache_hits, r.plan_cache_hits);
+    EXPECT_EQ(baseline.plan_cache_misses, r.plan_cache_misses);
   }
+  EXPECT_GT(baseline.plan_cache_hits, 0);
 }
 
 TEST_F(ParallelDeterminismTest, ExhaustiveIsIdenticalAtEveryThreadCount) {

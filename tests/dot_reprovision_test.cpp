@@ -21,7 +21,7 @@
 
 #include "common/rng.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
+#include "dot/eval_tables.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"

@@ -22,10 +22,9 @@
 #include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dot/bnb_search.h"
-#include "dot/candidate_evaluator.h"
 #include "dot/ensemble.h"
+#include "dot/eval_tables.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -196,8 +195,7 @@ struct EvalRecord {
 std::vector<EvalRecord> RunParityWalk(const DotProblem& problem, uint64_t seed,
                                       int rounds) {
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  FastEvaluator evaluator(estimator);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);
@@ -215,9 +213,9 @@ std::vector<EvalRecord> RunParityWalk(const DotProblem& problem, uint64_t seed,
       placement[o] =
           static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
     }
-    const Layout layout(problem.schema, problem.box, placement);
-    const CandidateEval fast = evaluator.EvaluateQuick(layout);
-    const CandidateEval full = evaluator.EvaluateOne(layout);
+    const CandidateEval fast = evaluator.EvaluateQuick(placement);
+    const CandidateEval full = EvaluateOneWith(
+        estimator, Layout(problem.schema, problem.box, placement));
     const std::string what = std::string("level=") +
                              KernelLevelName(ActiveKernelLevel()) +
                              " round=" + std::to_string(round);

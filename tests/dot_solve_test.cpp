@@ -199,6 +199,77 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
     spec_fleet.fleet = bad_fleet;
     expect_refused(spec_fleet, "fleet config");
   }
+
+  // Bad problem inputs, refused on every method that reads them, by
+  // Validate and by Solve alike.
+  const auto refused = [](const DotProblem& bad, const SolveSpec& spec,
+                          const std::string& what) {
+    EXPECT_EQ(spec.Validate(bad).code(), StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(Solve(bad, spec).status.code(), StatusCode::kInvalidArgument)
+        << what;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ScenarioEnsemble empty;
+  ScenarioEnsemble too_many;
+  too_many.scenarios.resize(kMaxScenarios + 1);
+  const size_t n = static_cast<size_t>(schema_.NumObjects());
+  using M = SolveMethod;
+  for (M method : {M::kDotHeuristic, M::kExact, M::kEnumerate, M::kEpochPlan}) {
+    SolveSpec spec_m;
+    spec_m.method = method;
+    const std::string m = "method " + std::to_string(static_cast<int>(method));
+    for (double sla : {0.0, -0.5, 1.5, nan, inf}) {
+      DotProblem bad_sla = problem_;
+      bad_sla.relative_sla = sla;
+      refused(bad_sla, spec_m, m + " relative_sla " + std::to_string(sla));
+    }
+    // The spec overlay is refused on kEpochPlan whatever its size.
+    for (const ScenarioEnsemble* bad_ensemble : {&empty, &too_many}) {
+      DotProblem bad_problem = problem_;
+      bad_problem.ensemble = bad_ensemble;
+      refused(bad_problem, spec_m, m + " problem ensemble");
+      SolveSpec bad_spec = spec_m;
+      bad_spec.ensemble = bad_ensemble;
+      refused(problem_, bad_spec, m + " spec ensemble");
+    }
+    // kEpochPlan never reads the hint.
+    if (method == M::kEpochPlan) continue;
+    for (size_t size : {size_t{1}, n + 1}) {
+      DotProblem bad_hint = problem_;
+      bad_hint.io_scale_hint.assign(size, 1.0);
+      refused(bad_hint, spec_m, m + " io_scale_hint size");
+    }
+  }
+  // Fleet tenants are single-shot problems of their own.
+  DotProblem bad_tenant = problem_;
+  bad_tenant.relative_sla = 0.0;
+  const std::vector<FleetTenant> bad_tenants = {{"t0", bad_tenant}};
+  FleetSpec bad_roster;
+  bad_roster.tenants = &bad_tenants;
+  SolveSpec spec_roster;
+  spec_roster.method = SolveMethod::kFleet;
+  spec_roster.fleet = &bad_roster;
+  expect_refused(spec_roster, "fleet tenant relative_sla");
+
+  DotProblem no_profiles = problem_;
+  no_profiles.profiles = nullptr;
+  SolveSpec heuristic;
+  heuristic.method = SolveMethod::kDotHeuristic;
+  refused(no_profiles, heuristic, "kDotHeuristic profiles");
+
+  // The relative SLA is not read when a targets override replaces it, and
+  // the exact search needs no profiles: both stay valid.
+  const PerfTargets targets = MakePerfTargets(
+      workload_, box_, schema_.NumObjects(), problem_.relative_sla);
+  DotProblem overridden = no_profiles;
+  overridden.relative_sla = 7.0;
+  overridden.targets_override = &targets;
+  SolveSpec exact;
+  exact.method = SolveMethod::kExact;
+  EXPECT_TRUE(exact.Validate(overridden).ok());
+  EXPECT_TRUE(Solve(overridden, exact).status.ok());
 }
 
 TEST_F(SolveFacadeTest, InfeasibleVerdictPassesThroughUnchanged) {
