@@ -81,7 +81,6 @@ void RunFullSchema(int box_index, int capped_class,
     if (cap > 0) capped.classes[capped_class].set_capacity_gb(cap);
     auto inst = Instance::TpchOnBox(capped, TpchVariant::kOriginal);
     DotProblem problem = inst->Problem(0.5);
-    problem.options.num_threads = 0;  // all lanes: the exact tree is the hard part
     DotResult dot_r = DotOptimizer(problem).Optimize();
     DotResult bnb_r = ExactSearch(problem, ExactStrategy::kBranchAndBound);
     const std::string cap_label =

@@ -36,29 +36,8 @@ void* Arena::Allocate(std::size_t bytes, std::size_t align) {
   }
   void* result = reinterpret_cast<void*>(aligned);
   ptr_ += needed;
-  live_bytes_ += needed;
-  bytes_allocated_ += needed;
-  bytes_peak_ = std::max(bytes_peak_, live_bytes_);
+  bytes_peak_ += needed;
   return result;
-}
-
-void Arena::Reset() {
-  if (blocks_.size() > 1) {
-    // Retain only the largest block: the steady-state working set fits it,
-    // and everything smaller was a warm-up step toward it.
-    auto largest = std::max_element(
-        blocks_.begin(), blocks_.end(),
-        [](const Block& a, const Block& b) { return a.size < b.size; });
-    Block keep = std::move(*largest);
-    blocks_.clear();
-    blocks_.push_back(std::move(keep));
-  }
-  if (!blocks_.empty()) {
-    ptr_ = blocks_.back().data.get();
-    end_ = ptr_ + blocks_.back().size;
-  }
-  live_bytes_ = 0;
-  ++resets_;
 }
 
 }  // namespace dot

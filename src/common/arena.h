@@ -9,15 +9,13 @@
 
 namespace dot {
 
-/// Bump allocator for search-node state (DESIGN.md §13): one arena per
-/// branch-and-bound shard (and one per epoch-DP solve) holds every
-/// allocation the walker makes, and Reset() reclaims them all in O(1)
-/// between subtree tasks. Blocks are chained on demand and the largest
-/// survives Reset, so a steady-state walker allocates from one warm block
-/// and never touches malloc again.
+/// Bump allocator for search state (DESIGN.md §13): the branch-and-bound
+/// walker's per-depth arrays and the epoch DP's tables each come from one
+/// arena that lives as long as the solve. `Allocate` bumps a pointer;
+/// blocks are chained on demand and freed together when the arena dies.
 ///
-/// Only trivially-destructible payloads: Reset() runs no destructors.
-/// Single-threaded, like the walkers it backs.
+/// Only trivially-destructible payloads: the arena runs no destructors.
+/// Single-threaded, like the solves it backs.
 class Arena {
  public:
   /// `initial_block_bytes` sizes the first block (grown geometrically when
@@ -35,23 +33,14 @@ class Arena {
   template <typename T>
   T* AllocateArray(std::size_t count) {
     static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena::Reset runs no destructors");
+                  "the arena runs no destructors");
     return static_cast<T*>(Allocate(count * sizeof(T), alignof(T)));
   }
 
-  /// Reclaims every allocation; retains the largest block so a reused
-  /// arena reaches a steady state with zero malloc traffic.
-  void Reset();
-
-  /// Cumulative bytes handed out across the arena's lifetime (survives
-  /// Reset) — the provenance counter's raw material.
-  std::uint64_t bytes_allocated() const { return bytes_allocated_; }
-
-  /// High-water mark of live bytes at any point since construction.
+  /// Live bytes handed out (alignment padding included). Nothing is freed
+  /// before the arena dies, so this is also the high-water mark — the
+  /// provenance counter's raw material.
   std::uint64_t bytes_peak() const { return bytes_peak_; }
-
-  /// Number of Reset() calls.
-  std::uint64_t resets() const { return resets_; }
 
  private:
   struct Block {
@@ -66,10 +55,7 @@ class Arena {
   char* ptr_ = nullptr;  ///< bump pointer into blocks_.back()
   char* end_ = nullptr;
   std::size_t initial_block_bytes_;
-  std::uint64_t live_bytes_ = 0;  ///< bytes handed out since last Reset
-  std::uint64_t bytes_allocated_ = 0;
   std::uint64_t bytes_peak_ = 0;
-  std::uint64_t resets_ = 0;
 };
 
 }  // namespace dot

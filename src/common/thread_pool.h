@@ -14,8 +14,9 @@
 
 namespace dot {
 
-/// Fixed-size worker pool for the sharded engines (exact searches, epoch
-/// planner, fleet planner, provisioner fan-out).
+/// Fixed-size worker pool for the sharded engines (the enumerating exact
+/// scan, epoch planner, fleet planner, provisioner fan-out). The DOT walk
+/// and branch-and-bound are serial and build none.
 ///
 /// A pool of `num_threads` logical execution lanes: `num_threads - 1`
 /// background workers plus the calling thread, which always participates in

@@ -28,9 +28,9 @@ long long SaturatingAdd(long long a, long long b) {
   return a + b;
 }
 
-/// Winner of one scan shard or subtree task under the BetterCandidate total
-/// order.
-struct SubtreeBest {
+/// Best feasible candidate under the BetterCandidate total order: one scan
+/// shard's, or the branch-and-bound walk's.
+struct Winner {
   bool found = false;
   double toc = std::numeric_limits<double>::infinity();
   std::vector<int> placement;
@@ -80,12 +80,12 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
   ThreadPool pool(problem.options.num_threads);
   const int num_shards =
       static_cast<int>(std::min<long long>(total, 8LL * pool.num_threads()));
-  std::vector<SubtreeBest> per_shard(static_cast<size_t>(num_shards));
+  std::vector<Winner> per_shard(static_cast<size_t>(num_shards));
 
   pool.ParallelForShards(
       0, total, num_shards,
       [&](int shard, int64_t shard_begin, int64_t shard_end) {
-        SubtreeBest local;
+        Winner local;
         std::vector<int> placement = DecodeLayoutIndex(shard_begin, n, m);
         // Drive the scorer's bound cursor along the odometer. Digit 0 (the
         // least significant) is assigned last, so a step that rolls digits
@@ -129,8 +129,8 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
         per_shard[static_cast<size_t>(shard)] = std::move(local);
       });
 
-  SubtreeBest best;
-  for (SubtreeBest& shard : per_shard) {
+  Winner best;
+  for (Winner& shard : per_shard) {
     if (!shard.found) continue;
     if (!best.found || BetterCandidate(shard.toc, shard.placement, best.toc,
                                        best.placement)) {
@@ -168,85 +168,34 @@ struct BnbStats {
   long long pruned_infeasible = 0;
   long long layouts_pruned = 0;  ///< saturating: Σ leaf counts under prunes
   long long leaves = 0;
-
-  void Add(const BnbStats& o) {
-    expanded += o.expanded;
-    pruned_bound += o.pruned_bound;
-    pruned_infeasible += o.pruned_infeasible;
-    layouts_pruned = SaturatingAdd(layouts_pruned, o.layouts_pruned);
-    leaves += o.leaves;
-  }
 };
 
-/// Everything the subtree walkers share, read-only during the parallel
-/// phase. The assignment order, suffix tables, shard depth, and seed
-/// incumbent depend only on the problem — never on the thread count — which
-/// is what makes every counter and the task set deterministic.
-struct BnbShared {
-  const DotProblem* problem = nullptr;
-  const FastEvaluator* fast = nullptr;
-  const FastScorer* scorer = nullptr;   ///< null: no performance bound
-  int n = 0;
-  int m = 0;
-  /// Assignment order: order[d] is the object assigned at depth d,
-  /// descending space/I-O weight (normalized cost spread + time spread).
-  std::vector<int> order;
-  std::vector<double> size_at_depth;    ///< size_gb of order[d]
-  std::vector<double> suffix_min_cost;  ///< [d] Σ_{i>=d} min marginal cost
-  std::vector<double> suffix_size;      ///< [d] Σ_{i>=d} size_gb
-  std::vector<double> capacity;         ///< per class, c_j
-  std::vector<double> class_price;      ///< per class, p_j (hoisted)
-  bool linear_cost = false;             ///< cost model has no discrete part
-  std::vector<long long> leaves_below;  ///< [d] = M^(N-d), saturating
-  double seed_incumbent = std::numeric_limits<double>::infinity();
-  int shard_depth = 0;  ///< tasks are the surviving depth-k prefixes
-};
-
-/// One depth-first subtree walker: per-depth space snapshots (pure
-/// functions of the assignment path, so backtracking cannot accumulate
-/// floating-point drift), a per-walker bound cursor, and best-first child
-/// ordering. Pruning compares admissible bounds through the kBoundSafety
-/// margin, so a subtree is cut only when no completion can beat the
-/// incumbent or be feasible; ties are never cut, which preserves the
-/// lexicographic tie-break bit for bit.
-class SubtreeWalker {
+/// The branch-and-bound walk: one depth-first search from the root on the
+/// calling thread, with one incumbent carried across the whole tree, so
+/// every leaf found early prunes everything after it. Per-depth space
+/// snapshots (pure functions of the assignment path, so backtracking
+/// cannot accumulate floating-point drift), one bound cursor, and
+/// best-first child ordering. Pruning compares admissible bounds through
+/// the kBoundSafety margin, so a subtree is cut only when no completion can
+/// beat the incumbent or be feasible; ties are never cut, which preserves
+/// the lexicographic tie-break bit for bit. The assignment order and every
+/// table depend only on the problem, so the counters are deterministic.
+class BnbWalker {
  public:
-  /// With `task_sink` non-null the walker stops at shard_depth and emits
-  /// the surviving prefixes instead of descending (the top-k sharding
-  /// pass); with it null the walker searches the subtree exhaustively.
-  /// `arena` backs the per-depth snapshot and probe arrays; the walker is
-  /// built once per shard and reused across its tasks (BeginTask resets
-  /// the arena and every piece of per-task state), so the steady state
-  /// allocates nothing per task — not even the bound cursor, whose Reset
-  /// contract restores its full initial state.
-  SubtreeWalker(const BnbShared& sh, std::vector<std::vector<int>>* task_sink,
-                Arena* arena)
-      : sh_(sh),
-        task_sink_(task_sink),
-        arena_(arena),
-        placement_(static_cast<size_t>(sh.n), 0),
-        incumbent_(sh.seed_incumbent) {
-    if (sh_.scorer != nullptr) cursor_ = sh_.scorer->MakeBoundCursor();
-  }
+  /// Derives the assignment order and the per-depth tables, and carves the
+  /// per-depth snapshot and probe arrays from the walker's arena.
+  BnbWalker(const DotProblem& problem, const FastEvaluator& fast);
 
-  /// Replays a shard prefix (classes of order[0..shard_depth)) — already
-  /// vetted by the sharding pass — and searches the subtree below it.
-  void RunSubtree(const std::vector<int>& prefix) {
-    BeginTask();
-    for (int d = 0; d < sh_.shard_depth; ++d) {
-      AssignLevel(d, prefix[static_cast<size_t>(d)]);
-    }
-    Dfs(sh_.shard_depth);
-  }
-
-  /// The sharding pass: walk (and prune) levels [0, shard_depth).
-  void RunPrefix() {
-    BeginTask();
+  /// Searches the whole tree once, pruning against `incumbent` (a seed
+  /// TOC, or +inf) from the first node on.
+  void Run(double incumbent) {
+    incumbent_ = incumbent;
     Dfs(0);
   }
 
   const BnbStats& stats() const { return stats_; }
-  const SubtreeBest& best() const { return best_; }
+  const Winner& best() const { return best_; }
+  std::uint64_t arena_bytes_peak() const { return arena_.bytes_peak(); }
 
  private:
   /// Admissible TOC lower bound of one child, kept as the unreduced ratio
@@ -263,40 +212,18 @@ class SubtreeWalker {
   };
 
   double* UsedRow(int depth) {
-    return used_ + static_cast<size_t>(depth) * static_cast<size_t>(sh_.m);
-  }
-
-  /// Per-task reset: reclaim the arena, re-carve the per-depth arrays from
-  /// it, and restore every piece of state a fresh walker would start with
-  /// — the per-task results must be identical whether a walker is fresh or
-  /// reused, or the shard mapping would leak into the search outcome.
-  void BeginTask() {
-    arena_->Reset();
-    const size_t cells =
-        static_cast<size_t>(sh_.n + 1) * static_cast<size_t>(sh_.m);
-    used_ = arena_->AllocateArray<double>(cells);
-    std::fill(used_, used_ + cells, 0.0);
-    probes_ = arena_->AllocateArray<Probe>(cells);
-    mask_ = arena_->AllocateArray<unsigned char>(static_cast<size_t>(sh_.m));
-    qps_ = arena_->AllocateArray<QuickPerf>(static_cast<size_t>(sh_.m));
-    pfree_ = arena_->AllocateArray<double>(static_cast<size_t>(sh_.m));
-    tpden_ = arena_->AllocateArray<double>(static_cast<size_t>(sh_.m));
-    std::fill(placement_.begin(), placement_.end(), 0);
-    incumbent_ = sh_.seed_incumbent;
-    stats_ = BnbStats{};
-    best_ = SubtreeBest{};
-    if (cursor_ != nullptr) cursor_->Reset();
+    return used_ + static_cast<size_t>(depth) * static_cast<size_t>(m_);
   }
 
   /// Commits class `cls` for the depth-d object: placement, the depth+1
   /// space snapshot, and the bound cursor.
   void AssignLevel(int depth, int cls) {
-    const int obj = sh_.order[static_cast<size_t>(depth)];
+    const int obj = order_[static_cast<size_t>(depth)];
     placement_[static_cast<size_t>(obj)] = cls;
     const double* cur = UsedRow(depth);
     double* next = UsedRow(depth + 1);
-    for (int j = 0; j < sh_.m; ++j) next[j] = cur[j];
-    next[cls] += sh_.size_at_depth[static_cast<size_t>(depth)];
+    for (int j = 0; j < m_; ++j) next[j] = cur[j];
+    next[cls] += size_at_depth_[static_cast<size_t>(depth)];
     if (cursor_ != nullptr) cursor_->Assign(obj, placement_);
   }
 
@@ -304,14 +231,14 @@ class SubtreeWalker {
     stats_.pruned_infeasible += 1;
     stats_.layouts_pruned = SaturatingAdd(
         stats_.layouts_pruned,
-        sh_.leaves_below[static_cast<size_t>(child_depth)]);
+        leaves_below_[static_cast<size_t>(child_depth)]);
   }
 
   void PruneBound(int child_depth) {
     stats_.pruned_bound += 1;
     stats_.layouts_pruned = SaturatingAdd(
         stats_.layouts_pruned,
-        sh_.leaves_below[static_cast<size_t>(child_depth)]);
+        leaves_below_[static_cast<size_t>(child_depth)]);
   }
 
   /// Completion-cost lower bound of the child that adds the depth-d
@@ -324,17 +251,16 @@ class SubtreeWalker {
   /// the generic path.
   double ChildCostLowerBound(double parent_cost, const double* cur, int cls,
                              double size, int child_depth) {
-    const double remaining =
-        sh_.suffix_min_cost[static_cast<size_t>(child_depth)];
-    if (sh_.linear_cost) {
-      return parent_cost + sh_.class_price[static_cast<size_t>(cls)] * size +
+    const double remaining = suffix_min_cost_[static_cast<size_t>(child_depth)];
+    if (linear_cost_) {
+      return parent_cost + class_price_[static_cast<size_t>(cls)] * size +
              remaining;
     }
     double* next = UsedRow(child_depth);  // scratch until AssignLevel
-    for (int j = 0; j < sh_.m; ++j) next[j] = cur[j];
+    for (int j = 0; j < m_; ++j) next[j] = cur[j];
     next[cls] += size;
     return CompletionCostLowerBoundCentsPerHour(
-        *sh_.problem->box, next, sh_.m, remaining, sh_.problem->cost_model);
+        *problem_.box, next, m_, remaining, problem_.cost_model);
   }
 
   void ConsiderLeaf(double toc) {
@@ -349,27 +275,23 @@ class SubtreeWalker {
 
   /// Expands the node with `depth` objects assigned (depth < n).
   void Dfs(int depth) {
-    if (task_sink_ != nullptr && depth == sh_.shard_depth) {
-      task_sink_->emplace_back(placement_prefix(depth));
-      return;
-    }
     stats_.expanded += 1;
 
-    const int obj = sh_.order[static_cast<size_t>(depth)];
-    const double size = sh_.size_at_depth[static_cast<size_t>(depth)];
+    const int obj = order_[static_cast<size_t>(depth)];
+    const double size = size_at_depth_[static_cast<size_t>(depth)];
     const double* cur = UsedRow(depth);
     Probe* probes = probes_ + static_cast<size_t>(depth + 1) *
-                                  static_cast<size_t>(sh_.m);
+                                  static_cast<size_t>(m_);
 
-    if (depth + 1 == sh_.n) {
-      for (int cls = 0; cls < sh_.m; ++cls) {
+    if (depth + 1 == n_) {
+      for (int cls = 0; cls < m_; ++cls) {
         // Assigned objects never move again, so a class already at or
         // over its (strict) capacity dooms every completion. Deflated:
         // the snapshot is an assignment-order sum while the exact fit
         // rule sums in object order, and a few ULPs must not prune a
         // fitting leaf.
         if ((cur[cls] + size) * (1 - kBoundSafety) >=
-            sh_.capacity[static_cast<size_t>(cls)]) {
+            capacity_[static_cast<size_t>(cls)]) {
           PruneInfeasible(depth + 1);
           continue;
         }
@@ -380,11 +302,11 @@ class SubtreeWalker {
         CandidateEval eval;
         if (cursor_ != nullptr) {
           cursor_->Assign(obj, placement_);
-          eval = sh_.fast->EvaluateWithScore(placement_,
-                                             cursor_->Optimistic(placement_));
+          eval = fast_.EvaluateWithScore(placement_,
+                                         cursor_->Optimistic(placement_));
           cursor_->Unassign(obj);
         } else {
-          eval = sh_.fast->EvaluateQuick(placement_);
+          eval = fast_.EvaluateQuick(placement_);
         }
         stats_.leaves += 1;
         if (eval.feasible) ConsiderLeaf(eval.toc);
@@ -404,20 +326,19 @@ class SubtreeWalker {
     // feed carries the kBoundSafety margin (~1e-9, nine orders above ULP
     // noise), so no fitting or tying completion can be cut.
     const double remaining_size =
-        sh_.suffix_size[static_cast<size_t>(depth + 1)];
+        suffix_size_[static_cast<size_t>(depth + 1)];
     double parent_free = 0.0;
-    for (int j = 0; j < sh_.m; ++j) {
-      pfree_[j] = std::max(0.0, sh_.capacity[static_cast<size_t>(j)] -
-                                    cur[j]);
+    for (int j = 0; j < m_; ++j) {
+      pfree_[j] = std::max(0.0, capacity_[static_cast<size_t>(j)] - cur[j]);
       parent_free += pfree_[j];
     }
 
     // Pass 1: space feasibility.
     int live = 0;
-    for (int cls = 0; cls < sh_.m; ++cls) {
+    for (int cls = 0; cls < m_; ++cls) {
       mask_[cls] = 0;
       const double used_cls = cur[cls] + size;
-      if (used_cls * (1 - kBoundSafety) >= sh_.capacity[static_cast<size_t>(
+      if (used_cls * (1 - kBoundSafety) >= capacity_[static_cast<size_t>(
                                                cls)]) {
         PruneInfeasible(depth + 1);
         continue;
@@ -425,7 +346,7 @@ class SubtreeWalker {
       // The unassigned volume must fit in the remaining free space.
       const double free_gb =
           parent_free - pfree_[cls] +
-          std::max(0.0, sh_.capacity[static_cast<size_t>(cls)] - used_cls);
+          std::max(0.0, capacity_[static_cast<size_t>(cls)] - used_cls);
       if (remaining_size * (1 - kBoundSafety) >= free_gb * (1 + kBoundSafety)) {
         PruneInfeasible(depth + 1);
         continue;
@@ -442,7 +363,7 @@ class SubtreeWalker {
     // nothing), and the search degrades to capacity pruning — skip the
     // cost kernel entirely.
     if (cursor_ != nullptr && live > 0) {
-      cursor_->ProbeClassesRatio(obj, placement_, sh_.m, mask_, qps_, tpden_);
+      cursor_->ProbeClassesRatio(obj, placement_, m_, mask_, qps_, tpden_);
     }
 
     // Pass 3: SLA and bound pruning; survivors become child probes.
@@ -455,13 +376,13 @@ class SubtreeWalker {
     // the division spelling.
     const double inc_scaled = incumbent_ * (1 + kBoundSafety);
     double parent_cost = 0.0;
-    if (cursor_ != nullptr && live > 0 && sh_.linear_cost) {
-      for (int j = 0; j < sh_.m; ++j) {
-        parent_cost += sh_.class_price[static_cast<size_t>(j)] * cur[j];
+    if (cursor_ != nullptr && live > 0 && linear_cost_) {
+      for (int j = 0; j < m_; ++j) {
+        parent_cost += class_price_[static_cast<size_t>(j)] * cur[j];
       }
     }
     live = 0;
-    for (int cls = 0; cls < sh_.m; ++cls) {
+    for (int cls = 0; cls < m_; ++cls) {
       if (mask_[cls] == 0) continue;
       double toc_num = 0.0;
       double toc_den = 1.0;
@@ -516,30 +437,126 @@ class SubtreeWalker {
     }
   }
 
-  std::vector<int> placement_prefix(int depth) const {
-    std::vector<int> prefix(static_cast<size_t>(depth));
-    for (int d = 0; d < depth; ++d) {
-      prefix[static_cast<size_t>(d)] =
-          placement_[static_cast<size_t>(sh_.order[static_cast<size_t>(d)])];
-    }
-    return prefix;
-  }
-
-  const BnbShared& sh_;
-  std::vector<std::vector<int>>* task_sink_;
-  Arena* arena_;
+  const DotProblem& problem_;
+  const FastEvaluator& fast_;
+  int n_ = 0;
+  int m_ = 0;
+  /// Assignment order: order_[d] is the object assigned at depth d,
+  /// descending space/I-O weight (normalized cost spread + time spread).
+  std::vector<int> order_;
+  std::vector<double> size_at_depth_;    ///< size_gb of order_[d]
+  std::vector<double> suffix_min_cost_;  ///< [d] Σ_{i>=d} min marginal cost
+  std::vector<double> suffix_size_;      ///< [d] Σ_{i>=d} size_gb
+  std::vector<double> capacity_;         ///< per class, c_j
+  std::vector<double> class_price_;      ///< per class, p_j (hoisted)
+  bool linear_cost_ = false;             ///< cost model has no discrete part
+  std::vector<long long> leaves_below_;  ///< [d] = M^(N-d), saturating
+  Arena arena_;                 ///< backs the per-depth arrays below
   std::vector<int> placement_;  ///< vector: the scorer API's currency
-  double* used_ = nullptr;      ///< (n+1) × m space snapshots, arena-backed
+  double* used_ = nullptr;      ///< (n+1) × m space snapshots
   Probe* probes_ = nullptr;     ///< (n+1) × m child-probe scratch
   unsigned char* mask_ = nullptr;  ///< per-class space-feasibility, one node
   QuickPerf* qps_ = nullptr;       ///< per-class batched probe results
   double* pfree_ = nullptr;        ///< per-class parent free space, one node
   double* tpden_ = nullptr;        ///< per-class probe ratio denominators
-  std::unique_ptr<FastScorer::BoundCursor> cursor_;
-  double incumbent_;
+  std::unique_ptr<FastScorer::BoundCursor> cursor_;  ///< null: no bound
+  double incumbent_ = std::numeric_limits<double>::infinity();
   BnbStats stats_;
-  SubtreeBest best_;
+  Winner best_;
 };
+
+BnbWalker::BnbWalker(const DotProblem& problem, const FastEvaluator& fast)
+    : problem_(problem),
+      fast_(fast),
+      n_(problem.schema->NumObjects()),
+      m_(problem.box->NumClasses()),
+      placement_(static_cast<size_t>(n_), 0) {
+  const FastScorer* scorer = fast.scorer();
+  if (scorer != nullptr) cursor_ = scorer->MakeBoundCursor();
+
+  capacity_.reserve(static_cast<size_t>(m_));
+  class_price_.reserve(static_cast<size_t>(m_));
+  linear_cost_ = !problem.cost_model.discrete;
+  double max_price = 0.0;
+  double min_price = std::numeric_limits<double>::infinity();
+  for (const StorageClass& sc : problem.box->classes) {
+    capacity_.push_back(sc.capacity_gb());
+    class_price_.push_back(sc.price_cents_per_gb_hour());
+    max_price = std::max(max_price, sc.price_cents_per_gb_hour());
+    min_price = std::min(min_price, sc.price_cents_per_gb_hour());
+  }
+
+  // Assignment order: descending space/I-O weight. An object's weight is
+  // its guaranteed cost spread (size × price spread) plus its workload-time
+  // spread across classes, each normalized to the largest in the schema —
+  // the objects whose placement moves the bound the most are decided first,
+  // so both prunes bite near the root. Any order is correct; this one is
+  // fast.
+  std::vector<double> cost_spread(static_cast<size_t>(n_), 0.0);
+  std::vector<double> time_spread(static_cast<size_t>(n_), 0.0);
+  double max_cost_spread = 0.0;
+  double max_time_spread = 0.0;
+  for (int o = 0; o < n_; ++o) {
+    cost_spread[static_cast<size_t>(o)] =
+        problem.schema->object(o).size_gb * (max_price - min_price);
+    if (scorer != nullptr) {
+      time_spread[static_cast<size_t>(o)] = scorer->ObjectTimeSpreadMs(o);
+    }
+    max_cost_spread =
+        std::max(max_cost_spread, cost_spread[static_cast<size_t>(o)]);
+    max_time_spread =
+        std::max(max_time_spread, time_spread[static_cast<size_t>(o)]);
+  }
+  order_.resize(static_cast<size_t>(n_));
+  for (int o = 0; o < n_; ++o) order_[static_cast<size_t>(o)] = o;
+  std::vector<double> weight(static_cast<size_t>(n_), 0.0);
+  for (int o = 0; o < n_; ++o) {
+    double w = 0.0;
+    if (max_cost_spread > 0) {
+      w += cost_spread[static_cast<size_t>(o)] / max_cost_spread;
+    }
+    if (max_time_spread > 0) {
+      w += time_spread[static_cast<size_t>(o)] / max_time_spread;
+    }
+    weight[static_cast<size_t>(o)] = w;
+  }
+  std::sort(order_.begin(), order_.end(), [&](int a, int b) {
+    const double wa = weight[static_cast<size_t>(a)];
+    const double wb = weight[static_cast<size_t>(b)];
+    return wa != wb ? wa > wb : a < b;
+  });
+
+  size_at_depth_.resize(static_cast<size_t>(n_));
+  for (int d = 0; d < n_; ++d) {
+    size_at_depth_[static_cast<size_t>(d)] =
+        problem.schema->object(order_[static_cast<size_t>(d)]).size_gb;
+  }
+  suffix_min_cost_.assign(static_cast<size_t>(n_) + 1, 0.0);
+  suffix_size_.assign(static_cast<size_t>(n_) + 1, 0.0);
+  for (int d = n_ - 1; d >= 0; --d) {
+    suffix_min_cost_[static_cast<size_t>(d)] =
+        suffix_min_cost_[static_cast<size_t>(d) + 1] +
+        MinObjectCostCentsPerHour(*problem.box,
+                                  size_at_depth_[static_cast<size_t>(d)],
+                                  problem.cost_model);
+    suffix_size_[static_cast<size_t>(d)] =
+        suffix_size_[static_cast<size_t>(d) + 1] +
+        size_at_depth_[static_cast<size_t>(d)];
+  }
+  leaves_below_.resize(static_cast<size_t>(n_) + 1);
+  for (int d = 0; d <= n_; ++d) {
+    leaves_below_[static_cast<size_t>(d)] = LayoutSpaceSize(n_ - d, m_);
+  }
+
+  const size_t cells = static_cast<size_t>(n_ + 1) * static_cast<size_t>(m_);
+  used_ = arena_.AllocateArray<double>(cells);
+  std::fill(used_, used_ + cells, 0.0);
+  probes_ = arena_.AllocateArray<Probe>(cells);
+  mask_ = arena_.AllocateArray<unsigned char>(static_cast<size_t>(m_));
+  qps_ = arena_.AllocateArray<QuickPerf>(static_cast<size_t>(m_));
+  pfree_ = arena_.AllocateArray<double>(static_cast<size_t>(m_));
+  tpden_ = arena_.AllocateArray<double>(static_cast<size_t>(m_));
+}
 
 DotResult BranchAndBoundSearch(
     const DotProblem& problem, double start_ms,
@@ -553,87 +570,6 @@ DotResult BranchAndBoundSearch(
   result.targets = estimator.targets();
 
   const FastEvaluator fast(estimator);
-
-  BnbShared sh;
-  sh.problem = &problem;
-  sh.fast = &fast;
-  sh.scorer = fast.scorer();
-  sh.n = n;
-  sh.m = m;
-
-  sh.capacity.reserve(static_cast<size_t>(m));
-  sh.class_price.reserve(static_cast<size_t>(m));
-  sh.linear_cost = !problem.cost_model.discrete;
-  double max_price = 0.0;
-  double min_price = std::numeric_limits<double>::infinity();
-  for (const StorageClass& sc : problem.box->classes) {
-    sh.capacity.push_back(sc.capacity_gb());
-    sh.class_price.push_back(sc.price_cents_per_gb_hour());
-    max_price = std::max(max_price, sc.price_cents_per_gb_hour());
-    min_price = std::min(min_price, sc.price_cents_per_gb_hour());
-  }
-
-  // Assignment order: descending space/I-O weight. An object's weight is
-  // its guaranteed cost spread (size × price spread) plus its workload-time
-  // spread across classes, each normalized to the largest in the schema —
-  // the objects whose placement moves the bound the most are decided first,
-  // so both prunes bite near the root. Any order is correct; this one is
-  // fast.
-  std::vector<double> cost_spread(static_cast<size_t>(n), 0.0);
-  std::vector<double> time_spread(static_cast<size_t>(n), 0.0);
-  double max_cost_spread = 0.0;
-  double max_time_spread = 0.0;
-  for (int o = 0; o < n; ++o) {
-    cost_spread[static_cast<size_t>(o)] =
-        problem.schema->object(o).size_gb * (max_price - min_price);
-    if (sh.scorer != nullptr) {
-      time_spread[static_cast<size_t>(o)] = sh.scorer->ObjectTimeSpreadMs(o);
-    }
-    max_cost_spread =
-        std::max(max_cost_spread, cost_spread[static_cast<size_t>(o)]);
-    max_time_spread =
-        std::max(max_time_spread, time_spread[static_cast<size_t>(o)]);
-  }
-  sh.order.resize(static_cast<size_t>(n));
-  for (int o = 0; o < n; ++o) sh.order[static_cast<size_t>(o)] = o;
-  std::vector<double> weight(static_cast<size_t>(n), 0.0);
-  for (int o = 0; o < n; ++o) {
-    double w = 0.0;
-    if (max_cost_spread > 0) {
-      w += cost_spread[static_cast<size_t>(o)] / max_cost_spread;
-    }
-    if (max_time_spread > 0) {
-      w += time_spread[static_cast<size_t>(o)] / max_time_spread;
-    }
-    weight[static_cast<size_t>(o)] = w;
-  }
-  std::sort(sh.order.begin(), sh.order.end(), [&](int a, int b) {
-    const double wa = weight[static_cast<size_t>(a)];
-    const double wb = weight[static_cast<size_t>(b)];
-    return wa != wb ? wa > wb : a < b;
-  });
-
-  sh.size_at_depth.resize(static_cast<size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    sh.size_at_depth[static_cast<size_t>(d)] =
-        problem.schema->object(sh.order[static_cast<size_t>(d)]).size_gb;
-  }
-  sh.suffix_min_cost.assign(static_cast<size_t>(n) + 1, 0.0);
-  sh.suffix_size.assign(static_cast<size_t>(n) + 1, 0.0);
-  for (int d = n - 1; d >= 0; --d) {
-    sh.suffix_min_cost[static_cast<size_t>(d)] =
-        sh.suffix_min_cost[static_cast<size_t>(d) + 1] +
-        MinObjectCostCentsPerHour(*problem.box,
-                                  sh.size_at_depth[static_cast<size_t>(d)],
-                                  problem.cost_model);
-    sh.suffix_size[static_cast<size_t>(d)] =
-        sh.suffix_size[static_cast<size_t>(d) + 1] +
-        sh.size_at_depth[static_cast<size_t>(d)];
-  }
-  sh.leaves_below.resize(static_cast<size_t>(n) + 1);
-  for (int d = 0; d <= n; ++d) {
-    sh.leaves_below[static_cast<size_t>(d)] = LayoutSpaceSize(n - d, m);
-  }
 
   // Deterministic incumbent seeds, evaluated through the same path the
   // leaves use: the M uniform layouts plus the DOT heuristic's answer when
@@ -668,82 +604,18 @@ DotResult BranchAndBoundSearch(
       }
     }
   }
-  sh.seed_incumbent = seed;
 
-  // Shard the top k levels into independent subtree tasks. k depends only
-  // on (M, N) — never on the thread count — so the task set, the reduction,
-  // and every counter are identical at any parallelism.
-  int shard_depth = 0;
-  while (shard_depth < n - 1 && LayoutSpaceSize(shard_depth, m) < 64) {
-    ++shard_depth;
-  }
-  sh.shard_depth = shard_depth;
-
-  std::vector<std::vector<int>> tasks;
-  Arena prefix_arena;
-  SubtreeWalker prefix_walker(sh, &tasks, &prefix_arena);
-  prefix_walker.RunPrefix();
-
-  BnbStats stats = prefix_walker.stats();
-  SubtreeBest best;
-
-  // One arena + walker (and therefore one bound cursor) per shard, reused
-  // across the shard's tasks. Shard boundaries depend only on the task
-  // count — never on the thread count — and BeginTask restores fresh-walker
-  // state per task, so per-task results are identical at any parallelism.
-  // The shard count caps at 64 for load balancing; below that it is one
-  // task per shard, exactly the old walker-per-task behaviour minus the
-  // allocations.
-  ThreadPool pool(problem.options.num_threads);
-  const int num_shards = static_cast<int>(std::min<size_t>(tasks.size(), 64));
-  std::vector<BnbStats> task_stats(tasks.size());
-  std::vector<SubtreeBest> task_best(tasks.size());
-  std::vector<std::uint64_t> shard_resets(
-      static_cast<size_t>(num_shards), 0);
-  std::vector<std::uint64_t> shard_peak(static_cast<size_t>(num_shards), 0);
-  if (!tasks.empty()) {
-    pool.ParallelForShards(
-        0, static_cast<int64_t>(tasks.size()), num_shards,
-        [&](int shard, int64_t shard_begin, int64_t shard_end) {
-          Arena arena;
-          SubtreeWalker walker(sh, nullptr, &arena);
-          for (int64_t i = shard_begin; i < shard_end; ++i) {
-            walker.RunSubtree(tasks[static_cast<size_t>(i)]);
-            task_stats[static_cast<size_t>(i)] = walker.stats();
-            task_best[static_cast<size_t>(i)] = walker.best();
-          }
-          shard_resets[static_cast<size_t>(shard)] = arena.resets();
-          shard_peak[static_cast<size_t>(shard)] = arena.bytes_peak();
-        });
-  }
-
-  // Reduce under the BetterCandidate total order (any reduction order
-  // yields the same winner; see eval_tables.h).
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    stats.Add(task_stats[static_cast<size_t>(i)]);
-    SubtreeBest& cand = task_best[static_cast<size_t>(i)];
-    if (!cand.found) continue;
-    if (!best.found || BetterCandidate(cand.toc, cand.placement, best.toc,
-                                       best.placement)) {
-      best = std::move(cand);
-    }
-  }
+  BnbWalker walker(problem, fast);
+  walker.Run(seed);
+  const BnbStats& stats = walker.stats();
+  const Winner& best = walker.best();
 
   result.nodes_expanded = stats.expanded;
   result.nodes_pruned_bound = stats.pruned_bound;
   result.nodes_pruned_infeasible = stats.pruned_infeasible;
   result.layouts_pruned = stats.layouts_pruned;
   result.layouts_evaluated = stats.leaves;
-  // Deterministic at any thread count: resets sum over the fixed shard
-  // set, peak is an order-free max.
-  std::uint64_t arena_resets = prefix_arena.resets();
-  std::uint64_t arena_peak = prefix_arena.bytes_peak();
-  for (int s = 0; s < num_shards; ++s) {
-    arena_resets += shard_resets[static_cast<size_t>(s)];
-    arena_peak = std::max(arena_peak, shard_peak[static_cast<size_t>(s)]);
-  }
-  result.arena_resets = static_cast<long long>(arena_resets);
-  result.arena_bytes_peak = static_cast<long long>(arena_peak);
+  result.arena_bytes_peak = static_cast<long long>(walker.arena_bytes_peak());
   result.plan_cache_hits = fast.plan_cache_hits();
   result.plan_cache_misses = fast.plan_cache_misses();
 
@@ -754,7 +626,7 @@ DotResult BranchAndBoundSearch(
     const CandidateEval eval = EvaluateOneWith(
         estimator, Layout(problem.schema, problem.box, best.placement));
     DOT_CHECK(eval.feasible) << "winner infeasible on full re-score";
-    result.placement = std::move(best.placement);
+    result.placement = best.placement;
     result.toc_cents_per_task = eval.toc;
     result.layout_cost_cents_per_hour = eval.cost_cents_per_hour;
     result.estimate = eval.estimate;

@@ -131,10 +131,6 @@ class EnsembleScorer : public FastScorer {
                 std::vector<std::unique_ptr<FastScorer::BoundCursor>> children)
         : owner_(owner), children_(std::move(children)) {}
 
-    void Reset() override {
-      assigned_ = 0;
-      for (auto& c : children_) c->Reset();
-    }
     void Assign(int object_id, const std::vector<int>& placement) override {
       ++assigned_;
       for (auto& c : children_) c->Assign(object_id, placement);

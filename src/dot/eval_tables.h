@@ -94,8 +94,8 @@ class FastEvaluator {
                                   const QuickPerf& qp) const;
 
   /// The underlying workload scorer (null when the fast path is disabled);
-  /// the exact searches build their BoundCursors from it (one per subtree
-  /// task or scan shard).
+  /// the exact searches build their BoundCursors from it (one for the
+  /// branch-and-bound walk, one per scan shard).
   const FastScorer* scorer() const { return scorer_.get(); }
 
   /// Plan-cache traffic of the underlying scorer (0/0 when the fast path

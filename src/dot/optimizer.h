@@ -59,19 +59,16 @@ struct DotResult {
   /// DSS plan-cache traffic of the run's fast evaluation path (both 0 for
   /// OLTP models, which have no plan cache, and when the fast path is
   /// disabled; HTAP models report their analytic side's cache). Diagnostics
-  /// only. The serial DOT walk reports the same counts at every thread
-  /// count; in the exact searches (branch-and-bound, enumeration) they
-  /// vary with it even though the search result does not.
+  /// only. The serial engines (the DOT walk, branch-and-bound) report the
+  /// same counts at every thread count; the sharded enumeration's vary
+  /// with it even though the search result does not.
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 
-  /// Search-arena traffic of the branch-and-bound engine (0 for the other
-  /// engines, which allocate nothing per node): total Reset() calls across
-  /// all task arenas plus the prefix walker's, and the largest high-water
-  /// live-byte mark of any single arena. resets is a sum over the
-  /// thread-count-independent shard set and bytes_peak an order-free max,
-  /// so both are deterministic at any parallelism. Diagnostics only.
-  long long arena_resets = 0;
+  /// Bytes the branch-and-bound walker took from its arena for the
+  /// per-depth snapshot and probe arrays (0 for the other engines, which
+  /// allocate nothing per node). A function of (N, M) alone, so it is the
+  /// same at any thread count. Diagnostics only.
   long long arena_bytes_peak = 0;
 
   /// Wall-clock optimization time.

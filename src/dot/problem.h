@@ -35,10 +35,10 @@ enum class MoveAcceptance {
 /// defaults reproduce the full DOT method.
 struct SearchOptions {
   /// Execution lanes (1 = serial, 0 = std::thread::hardware_concurrency())
-  /// for the engines that shard work: branch-and-bound subtree tasks, the
-  /// enumerating scan's layout-space shards, the epoch planner's pool-
-  /// matrix fill and the fleet planner's pool builds. The DOT heuristic
-  /// (Procedure 1) is a sequential walk and ignores it. Results are
+  /// for the engines that shard work: the enumerating scan's layout-space
+  /// shards, the epoch planner's pool-matrix fill and the fleet planner's
+  /// pool builds. The DOT heuristic (Procedure 1) and branch-and-bound are
+  /// serial walks on the calling thread and ignore it. Results are
   /// bit-identical at every setting — candidates are reduced under a total
   /// order (TOC, then lexicographically lowest placement), never by arrival
   /// time.

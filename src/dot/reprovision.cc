@@ -212,8 +212,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   plan.pool_size = k_pool;
 
   // All DP-sized tables below come from one bump arena: one block serves
-  // the whole plan (single pass, so resets stays 0) and the high-water
-  // mark lands in the plan's arena counters.
+  // the whole plan and its byte count lands in the plan's arena counter.
   Arena arena;
 
   // --- Score every pool layout under every epoch, through the one
@@ -341,7 +340,6 @@ ReprovisionPlan ReprovisionPlanner::Plan(
                ? std::string()
                : " (" + schedule.epochs[static_cast<size_t>(e)].label + ")") +
           "'s capacity and SLA constraints");
-      plan.arena_resets = static_cast<long long>(arena.resets());
       plan.arena_bytes_peak = static_cast<long long>(arena.bytes_peak());
       plan.plan_ms = NowMs() - start_ms;
       return plan;
@@ -381,7 +379,6 @@ ReprovisionPlan ReprovisionPlanner::Plan(
       },
       [&](int e) { return toc_at(e, choice[static_cast<size_t>(e)]); },
       &plan);
-  plan.arena_resets = static_cast<long long>(arena.resets());
   plan.arena_bytes_peak = static_cast<long long>(arena.bytes_peak());
   plan.plan_ms = NowMs() - start_ms;
   return plan;

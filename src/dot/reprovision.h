@@ -115,11 +115,9 @@ struct ReprovisionPlan {
   /// Candidate layouts evaluated: per-epoch search totals plus the
   /// pool × epoch matrix.
   long long layouts_evaluated = 0;
-  /// Search-arena traffic of the DP's own table allocations (the
-  /// toc/dp/pred/choice tables live in one arena per Plan call; resets
-  /// stays 0 because a plan is a single pass). Deterministic at any
-  /// thread count; diagnostics only (dot/optimizer.h).
-  long long arena_resets = 0;
+  /// Bytes the DP's own tables took from its arena (the toc/dp/pred/choice
+  /// tables live in one arena per Plan call). Deterministic at any thread
+  /// count; diagnostics only (dot/optimizer.h).
   long long arena_bytes_peak = 0;
   double plan_ms = 0.0;
 };

@@ -32,7 +32,6 @@ SolveResult FromDot(DotResult result, SolveMethod method,
   out.provenance.nodes_pruned_infeasible = result.nodes_pruned_infeasible;
   out.provenance.plan_cache_hits = result.plan_cache_hits;
   out.provenance.plan_cache_misses = result.plan_cache_misses;
-  out.provenance.arena_resets = result.arena_resets;
   out.provenance.arena_bytes_peak = result.arena_bytes_peak;
   out.provenance.solve_ms = result.optimize_ms;
   out.provenance.layouts_per_s =
@@ -72,6 +71,10 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
   if (problem.box == nullptr) {
     return Status::InvalidArgument("DotProblem::box is null");
   }
+  // Every engine assumes N, M >= 1.
+  if (problem.box->NumClasses() < 1) {
+    return Status::InvalidArgument("DotProblem::box has no storage classes");
+  }
   for (const ScenarioEnsemble* e : {ensemble, problem.ensemble}) {
     if (e != nullptr && (e->size() < 1 || e->size() > kMaxScenarios)) {
       return Status::InvalidArgument(
@@ -83,6 +86,9 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
     if (problem.schema == nullptr || problem.workload == nullptr) {
       return Status::InvalidArgument(
           "DotProblem::schema and ::workload must be set");
+    }
+    if (problem.schema->NumObjects() < 1) {
+      return Status::InvalidArgument("DotProblem::schema has no objects");
     }
     Status st = CheckTargetInputs(problem, method == SolveMethod::kEpochPlan);
     if (!st.ok()) return st;
@@ -114,6 +120,10 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
     if (t.problem.schema == nullptr || t.problem.workload == nullptr) {
       return Status::InvalidArgument(
           "tenant " + t.name + " has no schema or workload");
+    }
+    if (t.problem.schema->NumObjects() < 1) {
+      return Status::InvalidArgument("tenant " + t.name +
+                                     " has a schema with no objects");
     }
     if (t.problem.box != problem.box) {
       return Status::InvalidArgument(
@@ -209,7 +219,6 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       out.provenance.engine = "epoch-dp";
       out.provenance.layouts_evaluated = out.plan.layouts_evaluated;
       out.provenance.pool_size = out.plan.pool_size;
-      out.provenance.arena_resets = out.plan.arena_resets;
       out.provenance.arena_bytes_peak = out.plan.arena_bytes_peak;
       out.provenance.solve_ms = out.plan.plan_ms;
       out.provenance.layouts_per_s =

@@ -138,8 +138,8 @@ struct SolveProvenance {
   long long nodes_pruned_infeasible = 0;
 
   /// DSS plan-cache traffic of the run's fast path (single-shot methods;
-  /// diagnostics only). Thread-count dependent in kExact and kEnumerate,
-  /// fixed in kDotHeuristic (dot/optimizer.h).
+  /// diagnostics only). Thread-count dependent in kEnumerate only; fixed in
+  /// kDotHeuristic and kExact (dot/optimizer.h).
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 
@@ -149,11 +149,8 @@ struct SolveProvenance {
   /// per-solve. Wall-clock derived — never compare bitwise.
   double layouts_per_s = 0.0;
 
-  /// Search-arena traffic (kExact branch-and-bound and kEpochPlan's DP;
-  /// zero elsewhere): arena Reset() calls and the largest single-arena
-  /// high-water byte mark. Deterministic at any thread count
-  /// (dot/optimizer.h).
-  long long arena_resets = 0;
+  /// Search-arena bytes (kExact branch-and-bound and kEpochPlan's DP;
+  /// zero elsewhere). Deterministic at any thread count (dot/optimizer.h).
   long long arena_bytes_peak = 0;
 
   /// kEpochPlan: the DP's candidate-pool size.

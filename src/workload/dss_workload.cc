@@ -123,7 +123,7 @@ class DssFastScorer : public FastScorer {
   /// ObjectTimeSpreadMs) so plain DOT runs — which construct this scorer
   /// on every optimization — never pay the ~|templates|·|footprint|·M
   /// extra PlanQuery calls. call_once makes the first demand safe from
-  /// concurrent subtree tasks.
+  /// concurrent scan shards.
   ///
   /// Each template is planned against a synthetic box that appends one
   /// extra storage class whose latency anchors are the pointwise minimum
@@ -270,16 +270,11 @@ class DssFastScorer : public FastScorer {
         depth += ts.size();
       }
       saved_.reserve(depth);
-      Reset();
-    }
-
-    void Reset() override {
       times_ = scorer_->floors_;
       unassigned_.resize(scorer_->footprints_.size());
       for (size_t t = 0; t < unassigned_.size(); ++t) {
         unassigned_[t] = static_cast<int>(scorer_->footprints_[t].size());
       }
-      saved_.clear();
     }
 
     void Assign(int object_id, const std::vector<int>& placement) override {

@@ -109,15 +109,9 @@ class HtapFastScorer : public FastScorer {
           dssif_stack_(
               static_cast<size_t>(scorer->tables_.num_objects()) + 1, 0.0) {
       DOT_CHECK(dss_cursor_ != nullptr);
-      Reset();
-    }
-
-    void Reset() override {
-      depth_ = 0;
       oltp_stack_[0] =
           scorer_->tables_.base_mean_latency_ms() + scorer_->if_base_oltp_;
       dssif_stack_[0] = scorer_->if_base_dss_;
-      dss_cursor_->Reset();
     }
 
     void Assign(int object_id, const std::vector<int>& placement) override {

@@ -174,11 +174,6 @@ class OltpFastScorer : public FastScorer {
         : scorer_(scorer),
           lb_stack_(
               static_cast<size_t>(scorer->tables_.num_objects()) + 1, 0.0) {
-      Reset();
-    }
-
-    void Reset() override {
-      depth_ = 0;
       lb_stack_[0] = scorer_->tables_.base_mean_latency_ms();
     }
 

@@ -109,12 +109,11 @@ class FastScorer {
   ///      through this path, so each matches the full path bit for bit.
   ///
   /// Assign/Unassign follow a LIFO discipline. A BoundCursor is
-  /// single-threaded state; each subtree task or scan shard creates its own.
+  /// single-threaded state and starts with no object assigned; the
+  /// branch-and-bound walk and each scan shard create their own.
   class BoundCursor {
    public:
     virtual ~BoundCursor() = default;
-    /// Clears to "no object assigned".
-    virtual void Reset() = 0;
     /// `placement[object_id]` already holds the newly assigned class.
     virtual void Assign(int object_id, const std::vector<int>& placement) = 0;
     /// Backtracks the most recent Assign of `object_id`.

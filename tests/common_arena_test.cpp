@@ -1,8 +1,6 @@
-// The bump allocator behind the branch-and-bound walkers (common/arena.h):
-// alignment and non-null guarantees, O(1) Reset with warm-block retention
-// (steady-state reuse must not grow the cumulative counter's per-round
-// delta), and the provenance counters — cumulative bytes_allocated across
-// Resets, the bytes_peak high-water mark, and the resets count.
+// The bump allocator behind the branch-and-bound walker and the epoch DP
+// (common/arena.h): alignment and non-null guarantees, no overlap across
+// chained blocks, and the bytes_peak provenance counter.
 
 #include "common/arena.h"
 
@@ -64,42 +62,18 @@ TEST(ArenaTest, AllocateArrayReturnsTypedAlignedStorage) {
   for (int i = 0; i < 31; ++i) EXPECT_EQ(d[i], static_cast<double>(i));
 }
 
-TEST(ArenaTest, ResetReusesTheWarmBlock) {
-  Arena arena(/*initial_block_bytes=*/128);
-  // Grow past the first block so Reset has a largest block to retain.
-  for (int i = 0; i < 64; ++i) arena.Allocate(64, 8);
-  arena.Reset();
-  void* first = arena.Allocate(64, 8);
-  arena.Reset();
-  void* again = arena.Allocate(64, 8);
-  // Identical request stream after Reset lands on the same warm storage.
-  EXPECT_EQ(first, again);
-  EXPECT_EQ(arena.resets(), 2u);
-}
-
-TEST(ArenaTest, BytesAllocatedIsCumulativeAcrossResets) {
-  Arena arena;
-  arena.Allocate(100, 8);
-  const std::uint64_t after_first = arena.bytes_allocated();
-  EXPECT_GE(after_first, 100u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), after_first);
-  arena.Allocate(50, 8);
-  EXPECT_GE(arena.bytes_allocated(), after_first + 50);
-}
-
 TEST(ArenaTest, BytesPeakTracksTheLiveHighWaterMark) {
-  Arena arena;
+  Arena arena(/*initial_block_bytes=*/128);
   arena.Allocate(1000, 8);
   const std::uint64_t peak = arena.bytes_peak();
   EXPECT_GE(peak, 1000u);
-  arena.Reset();
-  // A smaller post-Reset episode must not move the high-water mark.
+  // Nothing is freed before the arena dies: every later allocation,
+  // including one that chains a new block, raises the mark by at least
+  // its size.
   arena.Allocate(10, 8);
-  EXPECT_EQ(arena.bytes_peak(), peak);
-  // A larger one must.
+  EXPECT_GE(arena.bytes_peak(), peak + 10);
   arena.Allocate(5000, 8);
-  EXPECT_GE(arena.bytes_peak(), 5010u);
+  EXPECT_GE(arena.bytes_peak(), peak + 5010);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // infeasibility verdicts — across randomized problems (varying box, object
 // count, SLA, io_scale hints, discrete cost model, targets_override),
 // checks determinism across 1/4/hardware threads including every pruning
-// counter, and checks that the counters account for the full M^N tree.
+// counter, the plan-cache counts and the arena bytes, and checks that the
+// counters account for the full M^N tree.
 
 #include "dot/bnb_search.h"
 
@@ -273,7 +274,13 @@ TEST(BnbSearchTest, DeterministicAcrossThreadCountsIncludingCounters) {
     const std::string what = "num_threads=" + std::to_string(t);
     ExpectSameOptimum(r, baseline, what);
     ExpectSameCounters(r, baseline, what);
+    // The walk is serial, so the diagnostics are exact too.
+    EXPECT_EQ(r.plan_cache_hits, baseline.plan_cache_hits) << what;
+    EXPECT_EQ(r.plan_cache_misses, baseline.plan_cache_misses) << what;
+    EXPECT_EQ(r.arena_bytes_peak, baseline.arena_bytes_peak) << what;
   }
+  EXPECT_GT(baseline.plan_cache_misses, 0);
+  EXPECT_GT(baseline.arena_bytes_peak, 0);
 }
 
 TEST(BnbSearchTest, DotWarmStartSeedDoesNotChangeTheOptimum) {

@@ -94,7 +94,7 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
         placement[static_cast<size_t>(o)] =
             static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
       }
-      cursor->Reset();
+      cursor = fast.scorer()->MakeBoundCursor();  // nothing assigned
     } else {
       const size_t o = rng.NextBounded(static_cast<uint64_t>(n));
       placement[o] = static_cast<int>(rng.NextBounded(

@@ -215,7 +215,7 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
         placement[static_cast<size_t>(o)] =
             static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
       }
-      cursor->Reset();
+      cursor = fast.scorer()->MakeBoundCursor();  // nothing assigned
     } else {
       const size_t o = rng.NextBounded(static_cast<uint64_t>(n));
       placement[o] =
@@ -363,7 +363,13 @@ TEST(HtapBnbTest, DeterministicAcrossThreadCountsIncludingCounters) {
     const std::string what = "num_threads=" + std::to_string(t);
     ExpectSameOptimum(r, baseline, what);
     ExpectSameCounters(r, baseline, what);
+    // The walk is serial, so the diagnostics are exact too.
+    EXPECT_EQ(r.plan_cache_hits, baseline.plan_cache_hits) << what;
+    EXPECT_EQ(r.plan_cache_misses, baseline.plan_cache_misses) << what;
+    EXPECT_EQ(r.arena_bytes_peak, baseline.arena_bytes_peak) << what;
   }
+  EXPECT_GT(baseline.plan_cache_misses, 0);
+  EXPECT_GT(baseline.arena_bytes_peak, 0);
 }
 
 TEST(HtapBnbTest, InfeasibleVerdictMatchesEnumeration) {

@@ -253,6 +253,40 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
   spec_roster.fleet = &bad_roster;
   expect_refused(spec_roster, "fleet tenant relative_sla");
 
+  // An empty box or schema is refused on every method: the engines
+  // assume at least one object and one storage class.
+  BoxConfig no_classes = box_;
+  no_classes.classes.clear();
+  const Schema no_objects;
+  DotProblem empty_box = problem_;
+  empty_box.box = &no_classes;
+  DotProblem empty_schema = problem_;
+  empty_schema.schema = &no_objects;
+  for (M method : {M::kDotHeuristic, M::kExact, M::kEnumerate, M::kEpochPlan}) {
+    SolveSpec spec_m;
+    spec_m.method = method;
+    const std::string m = "method " + std::to_string(static_cast<int>(method));
+    refused(empty_box, spec_m, m + " empty box");
+    refused(empty_schema, spec_m, m + " empty schema");
+  }
+  // Under kFleet the box is the fleet problem's, and every tenant's
+  // schema is checked.
+  const std::vector<FleetTenant> empty_box_tenants = {{"t0", empty_box}};
+  const std::vector<FleetTenant> empty_schema_tenants = {
+      {"t0", problem_}, {"t1", empty_schema}};
+  FleetSpec empty_box_roster;
+  empty_box_roster.tenants = &empty_box_tenants;
+  FleetSpec empty_schema_roster;
+  empty_schema_roster.tenants = &empty_schema_tenants;
+  SolveSpec fleet_empty_box;
+  fleet_empty_box.method = SolveMethod::kFleet;
+  fleet_empty_box.fleet = &empty_box_roster;
+  refused(empty_box, fleet_empty_box, "fleet empty box");
+  SolveSpec fleet_empty_schema;
+  fleet_empty_schema.method = SolveMethod::kFleet;
+  fleet_empty_schema.fleet = &empty_schema_roster;
+  expect_refused(fleet_empty_schema, "fleet tenant empty schema");
+
   DotProblem no_profiles = problem_;
   no_profiles.profiles = nullptr;
   SolveSpec heuristic;
