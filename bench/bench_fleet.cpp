@@ -153,7 +153,8 @@ int main(int argc, char** argv) {
               << free_run.fleet.pool_cache_hits << " cache hits\n";
     TablePrinter t({"budget slack", "feasible", "fleet TOC (c/task)",
                     "independent TOC", "saved", "exch moves",
-                    "price iters", "plan (ms)"});
+                    "price iters", "plan (ms)", "pool (ms)",
+                    "price (ms)", "repair (ms)"});
 
     for (double f : fractions) {
       const double budget = floor + f * (cost0 - floor);
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
       if (!r.status.ok()) {
         t.AddRow({StrPrintf("%.2f", f), "no (" +
                   std::string(StatusCodeName(r.status.code())) + ")", "-",
-                  "-", "-", "-", "-", "-"});
+                  "-", "-", "-", "-", "-", "-", "-", "-"});
         continue;
       }
       const FleetPlan& plan = r.fleet;
@@ -191,7 +192,10 @@ int main(int argc, char** argv) {
                 StrPrintf("%.2f%%", saved),
                 StrPrintf("%d", plan.exchange_moves),
                 StrPrintf("%d", plan.price_iterations_run),
-                StrPrintf("%.1f", plan.plan_ms)});
+                StrPrintf("%.1f", plan.plan_ms),
+                StrPrintf("%.1f", plan.pool_ms),
+                StrPrintf("%.1f", plan.price_ms),
+                StrPrintf("%.1f", plan.repair_ms)});
       if (!json_path.empty()) {
         json_entries.push_back(bench::MakeBenchmarkJsonEntry(
             StrPrintf("Fleet/N=%d/slack=%.2f", n, f), plan.plan_ms,
@@ -205,7 +209,10 @@ int main(int argc, char** argv) {
               static_cast<double>(plan.pool_cache_hits)},
              {"exchange_moves", static_cast<double>(plan.exchange_moves)},
              {"layouts_evaluated",
-              static_cast<double>(plan.layouts_evaluated)}}));
+              static_cast<double>(plan.layouts_evaluated)},
+             {"pool_ms", plan.pool_ms},
+             {"price_ms", plan.price_ms},
+             {"repair_ms", plan.repair_ms}}));
       }
     }
     t.Print(std::cout);

@@ -52,7 +52,6 @@ DotResult SolveExact(const Schema& schema, const BoxConfig& box,
   problem.box = &box;
   problem.workload = &workload;
   problem.relative_sla = relative_sla;
-  problem.options.num_threads = 0;
   SolveResult r = Solve(problem);  // kExact default
   // The sweep compares optima, so every point must be feasible: relax like
   // the paper's Figure 2 loop if a ratio's combined caps are too tight.

@@ -103,7 +103,6 @@ int main() {
       p.box = &box;
       p.workload = schedule.epochs[e].workload;
       p.relative_sla = relative_sla;
-      p.options.num_threads = 0;
       const SolveResult r = Solve(p);  // kExact default
       if (!r.status.ok()) {
         all_ok = false;

@@ -121,8 +121,7 @@ int main(int argc, char** argv) {
   const WorkloadModel& model = instance->model();
   const int num_objects = schema.NumObjects();
 
-  DotProblem nominal = instance->Problem(0.5);
-  nominal.options.num_threads = 0;
+  const DotProblem nominal = instance->Problem(0.5);
 
   // --- calibrate the tail model against the jittered Executor ----------
   // A short noiseless-drift trace on the nominal optimum: the only
@@ -332,7 +331,8 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   // Thread-count determinism of the robust decision, at the harshest
-  // sweep point (highest noise, CVaR objective).
+  // sweep point (highest noise, CVaR objective). Branch-and-bound is
+  // serial, so the check drives the enumerating scan, which shards.
   ScenarioNoise harsh;
   harsh.num_scenarios = kEnsembleSize;
   harsh.io_scale_cv = 0.5;
@@ -346,12 +346,14 @@ int main(int argc, char** argv) {
   harsh_problem.tail_sla = tail;
   harsh_problem.relative_sla = 0.2;  // comfortably feasible
   std::cout << "\nthread-count determinism (cv 0.5, CVaR): ";
+  SolveSpec enumerate;
+  enumerate.method = SolveMethod::kEnumerate;
   harsh_problem.options.num_threads = 1;
-  const SolveResult t1 = Solve(harsh_problem);
+  const SolveResult t1 = Solve(harsh_problem, enumerate);
   harsh_problem.options.num_threads = 4;
-  const SolveResult t4 = Solve(harsh_problem);
+  const SolveResult t4 = Solve(harsh_problem, enumerate);
   harsh_problem.options.num_threads = 0;
-  const SolveResult thw = Solve(harsh_problem);
+  const SolveResult thw = Solve(harsh_problem, enumerate);
   const bool deterministic =
       t1.status.ok() && t1.placement == t4.placement &&
       t1.placement == thw.placement &&

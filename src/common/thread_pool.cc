@@ -113,48 +113,6 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::ParallelForChunked(int64_t begin, int64_t end, int64_t chunk,
-                                    const std::function<void(int64_t)>& fn) {
-  if (begin >= end) return;
-  chunk = std::max<int64_t>(1, chunk);
-  const int64_t count = end - begin;
-  if (num_threads_ == 1 || count <= chunk) {
-    for (int64_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  std::atomic<int64_t> next(begin);
-  std::exception_ptr first_error = nullptr;
-  std::mutex error_mu;
-  auto drain = [&] {
-    for (;;) {
-      const int64_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) return;
-      const int64_t hi = std::min(lo + chunk, end);
-      try {
-        for (int64_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-    }
-  };
-  const int64_t chunks = (count + chunk - 1) / chunk;
-  const int helpers =
-      static_cast<int>(std::min<int64_t>(num_threads_ - 1, chunks - 1));
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(helpers));
-  for (int t = 0; t < helpers; ++t) futures.push_back(Submit(drain));
-  drain();
-  for (auto& f : futures) {
-    while (f.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!RunPendingTask()) f.wait();
-    }
-    f.get();
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 void ThreadPool::ParallelForShards(
     int64_t begin, int64_t end, int num_shards,
     const std::function<void(int shard, int64_t shard_begin,

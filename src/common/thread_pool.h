@@ -15,8 +15,9 @@
 namespace dot {
 
 /// Fixed-size worker pool for the sharded engines (the enumerating exact
-/// scan, epoch planner, fleet planner, provisioner fan-out). The DOT walk
-/// and branch-and-bound are serial and build none.
+/// scan, epoch planner, the fleet planner's pool builds, provisioner
+/// fan-out). The DOT walk, branch-and-bound and the fleet's pricing and
+/// repair are serial and use none.
 ///
 /// A pool of `num_threads` logical execution lanes: `num_threads - 1`
 /// background workers plus the calling thread, which always participates in
@@ -80,18 +81,6 @@ class ThreadPool {
   /// rethrown on the caller.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t)>& fn);
-
-  /// Chunked variant of ParallelFor: workers claim `chunk` consecutive
-  /// indices per atomic grab instead of one. For fan-outs of very small
-  /// iterations — the fleet planner prices 1e4 tenants where each argmin is
-  /// microseconds, and one atomic RMW per index would rival the work —
-  /// while keeping the load balancing static sharding gives up. chunk <= 1
-  /// degenerates to ParallelFor. Same contract: every index runs exactly
-  /// once, completion blocks, the first exception rethrows; iteration
-  /// *order* is nondeterministic, so determinism-sensitive callers write
-  /// results into distinct slots and reduce in fixed order.
-  void ParallelForChunked(int64_t begin, int64_t end, int64_t chunk,
-                          const std::function<void(int64_t)>& fn);
 
   /// Static-shard variant: splits [begin, end) into `num_shards` contiguous
   /// ranges and runs fn(shard, shard_begin, shard_end) for each. Shard

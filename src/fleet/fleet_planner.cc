@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
+#include "catalog/schema.h"
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
@@ -26,46 +27,38 @@ namespace {
 constexpr double kFleetFeasTol = 1e-9;
 constexpr double kEps = 1e-12;
 
-void AppendU64(uint64_t v, std::string* out) {
-  static const char* kHex = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out->push_back(kHex[(v >> shift) & 0xf]);
-  }
-  out->push_back('|');
-}
-
-void AppendBits(double v, std::string* out) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(bits, out);
-}
-
-void AppendPtr(const void* p, std::string* out) {
-  AppendU64(reinterpret_cast<uintptr_t>(p), out);
+/// Appends a value's raw bytes: the key is only compared, never printed,
+/// and doubles key on their exact bits.
+template <typename T>
+void AppendRaw(const T& v, std::string* out) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 /// The pool cache key: everything the pool's scores depend on. Same key =>
 /// same pool, by the FleetConfig::share_pools contract. Pointer-keyed
 /// inputs (targets_override, profiles) share only on pointer identity —
-/// conservative, never wrong.
-std::string PoolKey(const DotProblem& p, const FleetConfig& config) {
+/// conservative, never wrong. `fingerprint` is p.schema->Fingerprint().
+/// Variable-length fields are length-prefixed, so distinct inputs never
+/// concatenate to one key.
+std::string PoolKey(const DotProblem& p, uint64_t fingerprint,
+                    const FleetConfig& config) {
+  const std::string& name = p.workload->name();
   std::string key;
-  key.reserve(128);
-  AppendU64(p.schema->Fingerprint(), &key);
-  key += p.workload->name();
-  key.push_back('|');
-  AppendBits(p.relative_sla, &key);
-  key.push_back(p.cost_model.discrete ? '1' : '0');
-  key.push_back('|');
-  AppendBits(p.cost_model.alpha, &key);
-  AppendBits(p.tail_sla.percentile, &key);
-  AppendBits(p.tail_sla.latency_cv, &key);
-  for (double s : p.io_scale_hint) AppendBits(s, &key);
-  key.push_back('|');
-  AppendPtr(p.targets_override, &key);
+  key.reserve(96 + name.size() + 8 * p.io_scale_hint.size());
+  AppendRaw(fingerprint, &key);
+  AppendRaw(name.size(), &key);
+  key += name;
+  AppendRaw(p.relative_sla, &key);
+  AppendRaw(p.cost_model.discrete, &key);
+  AppendRaw(p.cost_model.alpha, &key);
+  AppendRaw(p.tail_sla.percentile, &key);
+  AppendRaw(p.tail_sla.latency_cv, &key);
+  AppendRaw(p.io_scale_hint.size(), &key);
+  for (double s : p.io_scale_hint) AppendRaw(s, &key);
+  AppendRaw(p.targets_override, &key);
   if (config.pool_mode == FleetPoolMode::kSearch &&
       config.search == EpochSearch::kDot) {
-    AppendPtr(p.profiles, &key);
+    AppendRaw(p.profiles, &key);
   }
   return key;
 }
@@ -186,6 +179,25 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   return out;
 }
 
+/// The distinct pools and which one each tenant draws from.
+struct TenantPools {
+  std::vector<TenantPool> pools;
+  std::vector<int> pool_of;  // tenant -> pool id
+
+  const TenantPool& operator[](size_t tenant) const {
+    return pools[static_cast<size_t>(pool_of[tenant])];
+  }
+
+  /// A per-pool candidate choice, handed to each pool's tenants.
+  std::vector<int> ForTenants(const std::vector<int>& per_pool) const {
+    std::vector<int> out(pool_of.size());
+    for (size_t i = 0; i < pool_of.size(); ++i) {
+      out[i] = per_pool[static_cast<size_t>(pool_of[i])];
+    }
+    return out;
+  }
+};
+
 /// Fleet totals of one selection, accumulated in tenant-index order — the
 /// ONE implementation of the FleetPlan accounting contract.
 struct FleetTotals {
@@ -195,12 +207,11 @@ struct FleetTotals {
 };
 
 FleetTotals ComputeTotals(const std::vector<int>& choice,
-                          const std::vector<const TenantPool*>& pools,
-                          int num_classes) {
+                          const TenantPools& pools, int num_classes) {
   FleetTotals t;
   t.used.assign(static_cast<size_t>(num_classes), 0.0);
   for (size_t i = 0; i < choice.size(); ++i) {
-    const TenantPool& pool = *pools[i];
+    const TenantPool& pool = pools[i];
     const size_t c = static_cast<size_t>(choice[i]);
     t.toc += pool.toc[c];
     t.cost += pool.cost[c];
@@ -213,30 +224,46 @@ FleetTotals ComputeTotals(const std::vector<int>& choice,
   return t;
 }
 
-bool FleetFeasible(const FleetTotals& t, const FleetConstraints& c) {
+/// The violation and feasibility rules, over a selection's cost and a
+/// per-class use accessor, so whole totals and probed moves share one
+/// formula.
+template <typename UsedAt>
+bool FeasibleOf(double cost, const UsedAt& used_at,
+                const FleetConstraints& c) {
   if (c.budget_cents_per_hour > 0.0 &&
-      t.cost > c.budget_cents_per_hour * (1.0 + kFleetFeasTol)) {
+      cost > c.budget_cents_per_hour * (1.0 + kFleetFeasTol)) {
     return false;
   }
   for (size_t j = 0; j < c.capacity_gb.size(); ++j) {
-    if (t.used[j] > c.capacity_gb[j] * (1.0 + kFleetFeasTol)) return false;
+    if (used_at(j) > c.capacity_gb[j] * (1.0 + kFleetFeasTol)) return false;
   }
   return true;
+}
+
+template <typename UsedAt>
+double ViolationOf(double cost, const UsedAt& used_at,
+                   const FleetConstraints& c) {
+  double v = 0.0;
+  if (c.budget_cents_per_hour > 0.0) {
+    const double cap = c.budget_cents_per_hour * (1.0 + kFleetFeasTol);
+    if (cost > cap) v += (cost - cap) / std::max(cap, kEps);
+  }
+  for (size_t j = 0; j < c.capacity_gb.size(); ++j) {
+    const double cap = c.capacity_gb[j] * (1.0 + kFleetFeasTol);
+    const double used = used_at(j);
+    if (used > cap) v += (used - cap) / std::max(cap, kEps);
+  }
+  return v;
+}
+
+bool FleetFeasible(const FleetTotals& t, const FleetConstraints& c) {
+  return FeasibleOf(t.cost, [&](size_t j) { return t.used[j]; }, c);
 }
 
 /// Normalized total violation: 0 iff FleetFeasible. The repair pass's
 /// potential function — every applied exchange strictly decreases it.
 double Violation(const FleetTotals& t, const FleetConstraints& c) {
-  double v = 0.0;
-  if (c.budget_cents_per_hour > 0.0) {
-    const double cap = c.budget_cents_per_hour * (1.0 + kFleetFeasTol);
-    if (t.cost > cap) v += (t.cost - cap) / std::max(cap, kEps);
-  }
-  for (size_t j = 0; j < c.capacity_gb.size(); ++j) {
-    const double cap = c.capacity_gb[j] * (1.0 + kFleetFeasTol);
-    if (t.used[j] > cap) v += (t.used[j] - cap) / std::max(cap, kEps);
-  }
-  return v;
+  return ViolationOf(t.cost, [&](size_t j) { return t.used[j]; }, c);
 }
 
 FleetTotals ApplyMove(const FleetTotals& t, const TenantPool& pool, int from,
@@ -256,61 +283,122 @@ FleetTotals ApplyMove(const FleetTotals& t, const TenantPool& pool, int from,
   return out;
 }
 
+/// One tenant's move from candidate `from` to `to`, probed against fleet
+/// totals without building them: cost and class use are the exact
+/// expressions ApplyMove evaluates, so a probe and the applied move agree
+/// bit for bit.
+struct MoveProbe {
+  const FleetTotals& t;
+  const TenantPool& pool;
+  size_t from;
+  size_t to;
+  size_t num_classes;
+
+  double cost() const { return t.cost + (pool.cost[to] - pool.cost[from]); }
+  double used(size_t j) const {
+    return t.used[j] + (pool.space[to * num_classes + j] -
+                        pool.space[from * num_classes + j]);
+  }
+  double Violation(const FleetConstraints& c) const {
+    return ViolationOf(cost(), [this](size_t j) { return used(j); }, c);
+  }
+  bool Feasible(const FleetConstraints& c) const {
+    return FeasibleOf(cost(), [this](size_t j) { return used(j); }, c);
+  }
+};
+
+/// One repair move: a tenant onto a candidate, ordered by `key` (the
+/// pass's merit, lower first), then tenant, then candidate.
+struct Move {
+  double key = 0.0;
+  int tenant = 0;
+  int candidate = 0;
+};
+
+/// Collects one round's moves. Totals stay fixed while a round collects,
+/// so every tenant of a pool that sits on the same candidate has the same
+/// moves: `probe(pool, cur, c, &key)` runs once per (pool, current
+/// candidate, c) and the surviving (c, key) row is reused for the rest.
+/// The list and its sorted order are exactly the per-tenant scan's.
+template <typename Probe>
+std::vector<Move> CollectMoves(const TenantPools& pools,
+                               const std::vector<int>& choice,
+                               const Probe& probe) {
+  std::vector<size_t> first_slot(pools.pools.size() + 1, 0);
+  for (size_t p = 0; p < pools.pools.size(); ++p) {
+    first_slot[p + 1] =
+        first_slot[p] + static_cast<size_t>(pools.pools[p].size());
+  }
+  std::vector<int> row_of(first_slot.back(), -1);
+  std::vector<std::vector<std::pair<int, double>>> rows;
+  std::vector<Move> moves;
+  for (size_t i = 0; i < choice.size(); ++i) {
+    const int cur = choice[i];
+    const size_t slot =
+        first_slot[static_cast<size_t>(pools.pool_of[i])] +
+        static_cast<size_t>(cur);
+    if (row_of[slot] < 0) {
+      row_of[slot] = static_cast<int>(rows.size());
+      rows.emplace_back();
+      const TenantPool& pool = pools[i];
+      for (int c = 0; c < pool.size(); ++c) {
+        double key = 0.0;
+        if (c != cur && probe(pool, cur, c, &key)) {
+          rows.back().emplace_back(c, key);
+        }
+      }
+    }
+    for (const auto& [c, key] : rows[static_cast<size_t>(row_of[slot])]) {
+      moves.push_back(Move{key, static_cast<int>(i), c});
+    }
+  }
+  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
+    if (a.key != b.key) return a.key < b.key;
+    if (a.tenant != b.tenant) return a.tenant < b.tenant;
+    return a.candidate < b.candidate;
+  });
+  return moves;
+}
+
 /// Deterministic greedy exchange: walk tenants onto candidates that
 /// strictly reduce the violation, cheapest ΔTOC per unit of violation
 /// removed first, ties by (tenant, candidate) index. Batch rounds — all
 /// improving moves are collected, sorted once, then re-checked and applied
 /// sequentially — keep the pass O(rounds · N · K) instead of re-sorting
 /// after every apply. Returns true when the selection is feasible.
-bool ExchangeRepair(const std::vector<const TenantPool*>& pools,
+bool ExchangeRepair(const TenantPools& pools,
                     const FleetConstraints& constraints, int num_classes,
                     std::vector<int>* choice, FleetTotals* totals,
                     int* moves_applied) {
   constexpr int kMaxRounds = 64;
-  struct Move {
-    double score = 0.0;
-    int tenant = 0;
-    int candidate = 0;
-  };
+  const size_t m = static_cast<size_t>(num_classes);
   for (int round = 0; round < kMaxRounds; ++round) {
     double viol = Violation(*totals, constraints);
     if (viol <= 0.0) return true;
-    std::vector<Move> moves;
-    for (size_t i = 0; i < choice->size(); ++i) {
-      const TenantPool& pool = *pools[i];
-      const int cur = (*choice)[i];
-      for (int c = 0; c < pool.size(); ++c) {
-        if (c == cur) continue;
-        const FleetTotals next =
-            ApplyMove(*totals, pool, cur, c, num_classes);
-        const double dv = Violation(next, constraints) - viol;
-        if (dv >= -kEps) continue;
-        Move mv;
-        mv.score = (pool.toc[static_cast<size_t>(c)] -
-                    pool.toc[static_cast<size_t>(cur)]) /
-                   (-dv);
-        mv.tenant = static_cast<int>(i);
-        mv.candidate = c;
-        moves.push_back(mv);
-      }
-    }
+    const std::vector<Move> moves = CollectMoves(
+        pools, *choice,
+        [&](const TenantPool& pool, int cur, int c, double* key) {
+          const MoveProbe probe{*totals, pool, static_cast<size_t>(cur),
+                                static_cast<size_t>(c), m};
+          const double dv = probe.Violation(constraints) - viol;
+          if (dv >= -kEps) return false;
+          *key = (pool.toc[static_cast<size_t>(c)] -
+                  pool.toc[static_cast<size_t>(cur)]) /
+                 (-dv);
+          return true;
+        });
     if (moves.empty()) return false;
-    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-      if (a.score != b.score) return a.score < b.score;
-      if (a.tenant != b.tenant) return a.tenant < b.tenant;
-      return a.candidate < b.candidate;
-    });
     bool applied_any = false;
     for (const Move& mv : moves) {
       const size_t i = static_cast<size_t>(mv.tenant);
       const int cur = (*choice)[i];
       if (cur == mv.candidate) continue;
-      const FleetTotals next =
-          ApplyMove(*totals, *pools[i], cur, mv.candidate, num_classes);
-      const double dv = Violation(next, constraints) - viol;
+      const MoveProbe probe{*totals, pools[i], static_cast<size_t>(cur),
+                            static_cast<size_t>(mv.candidate), m};
+      const double dv = probe.Violation(constraints) - viol;
       if (dv >= -kEps) continue;  // stale after earlier applies
+      *totals = ApplyMove(*totals, pools[i], cur, mv.candidate, num_classes);
       (*choice)[i] = mv.candidate;
-      *totals = next;
       viol += dv;
       ++*moves_applied;
       applied_any = true;
@@ -329,55 +417,35 @@ bool ExchangeRepair(const std::vector<const TenantPool*>& pools,
 /// TOC while the fleet stays feasible, best ΔTOC first, ties by (tenant,
 /// candidate). Monotone in Σ TOC, so it terminates; it can only tighten
 /// the never-lose guarantee.
-void ImprovementPass(const std::vector<const TenantPool*>& pools,
+void ImprovementPass(const TenantPools& pools,
                      const FleetConstraints& constraints, int num_classes,
                      std::vector<int>* choice, FleetTotals* totals,
                      int* moves_applied) {
   constexpr int kMaxRounds = 64;
-  struct Move {
-    double delta_toc = 0.0;
-    int tenant = 0;
-    int candidate = 0;
+  const size_t m = static_cast<size_t>(num_classes);
+  // Against the current totals: the move strictly lowers the tenant's TOC
+  // (by *dt) and keeps the fleet feasible.
+  const auto improves = [&](const TenantPool& pool, int cur, int c,
+                            double* dt) {
+    *dt = pool.toc[static_cast<size_t>(c)] -
+          pool.toc[static_cast<size_t>(cur)];
+    if (*dt >= 0.0) return false;
+    const MoveProbe probe{*totals, pool, static_cast<size_t>(cur),
+                          static_cast<size_t>(c), m};
+    return probe.Feasible(constraints);
   };
   for (int round = 0; round < kMaxRounds; ++round) {
-    std::vector<Move> moves;
-    for (size_t i = 0; i < choice->size(); ++i) {
-      const TenantPool& pool = *pools[i];
-      const int cur = (*choice)[i];
-      for (int c = 0; c < pool.size(); ++c) {
-        if (c == cur) continue;
-        const double dt = pool.toc[static_cast<size_t>(c)] -
-                          pool.toc[static_cast<size_t>(cur)];
-        if (dt >= 0.0) continue;
-        const FleetTotals next =
-            ApplyMove(*totals, pool, cur, c, num_classes);
-        if (!FleetFeasible(next, constraints)) continue;
-        Move mv;
-        mv.delta_toc = dt;
-        mv.tenant = static_cast<int>(i);
-        mv.candidate = c;
-        moves.push_back(mv);
-      }
-    }
+    const std::vector<Move> moves = CollectMoves(pools, *choice, improves);
     if (moves.empty()) return;
-    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-      if (a.delta_toc != b.delta_toc) return a.delta_toc < b.delta_toc;
-      if (a.tenant != b.tenant) return a.tenant < b.tenant;
-      return a.candidate < b.candidate;
-    });
     bool applied_any = false;
     for (const Move& mv : moves) {
       const size_t i = static_cast<size_t>(mv.tenant);
       const int cur = (*choice)[i];
       if (cur == mv.candidate) continue;
-      const double dt = pools[i]->toc[static_cast<size_t>(mv.candidate)] -
-                        pools[i]->toc[static_cast<size_t>(cur)];
-      if (dt >= 0.0) continue;
-      const FleetTotals next =
-          ApplyMove(*totals, *pools[i], cur, mv.candidate, num_classes);
-      if (!FleetFeasible(next, constraints)) continue;
+      double dt = 0.0;
+      if (!improves(pools[i], cur, mv.candidate, &dt)) continue;
+      *totals = ApplyMove(*totals, pools[i], cur, mv.candidate, num_classes);
       (*choice)[i] = mv.candidate;
-      *totals = next;
       ++*moves_applied;
       applied_any = true;
     }
@@ -431,44 +499,53 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
 
   // --- Pool assignment: first-occurrence order over cache keys, so pool
   // ids — and everything downstream — are independent of threading.
-  std::vector<int> tenant_pool(static_cast<size_t>(num_tenants), -1);
+  // Fingerprinting hashes every object, so each schema is hashed once.
+  TenantPools pools;
+  pools.pool_of.assign(static_cast<size_t>(num_tenants), -1);
   std::map<std::string, int> key_to_pool;
+  std::unordered_map<const Schema*, uint64_t> fingerprints;
   std::vector<int> pool_reference;  // pool id -> first tenant index
   for (int i = 0; i < num_tenants; ++i) {
     if (!config_.share_pools) {
-      tenant_pool[static_cast<size_t>(i)] =
+      pools.pool_of[static_cast<size_t>(i)] =
           static_cast<int>(pool_reference.size());
       pool_reference.push_back(i);
       continue;
     }
-    const std::string key =
-        PoolKey(tenants[static_cast<size_t>(i)].problem, config_);
+    const DotProblem& problem = tenants[static_cast<size_t>(i)].problem;
+    const auto [fp, fresh] = fingerprints.try_emplace(problem.schema, 0);
+    if (fresh) fp->second = problem.schema->Fingerprint();
+    const std::string key = PoolKey(problem, fp->second, config_);
     const auto it = key_to_pool.find(key);
     if (it != key_to_pool.end()) {
-      tenant_pool[static_cast<size_t>(i)] = it->second;
+      pools.pool_of[static_cast<size_t>(i)] = it->second;
       ++plan.pool_cache_hits;
     } else {
       const int id = static_cast<int>(pool_reference.size());
       key_to_pool.emplace(key, id);
-      tenant_pool[static_cast<size_t>(i)] = id;
+      pools.pool_of[static_cast<size_t>(i)] = id;
       pool_reference.push_back(i);
     }
   }
   const int num_pools = static_cast<int>(pool_reference.size());
   plan.pool_builds = num_pools;
 
-  // --- Build the distinct pools, fanned out into distinct slots.
-  std::vector<TenantPool> pools(static_cast<size_t>(num_pools));
-  ThreadPool threads(config_.options.num_threads);
-  threads.ParallelFor(0, num_pools, [&](int64_t pid) {
-    pools[static_cast<size_t>(pid)] = BuildPool(
-        tenants[static_cast<size_t>(
-                    pool_reference[static_cast<size_t>(pid)])]
-            .problem,
-        box_, config_);
-  });
+  // --- Build the distinct pools, fanned out into distinct slots — the
+  // planner's only parallel phase.
+  pools.pools.resize(static_cast<size_t>(num_pools));
+  {
+    ThreadPool threads(config_.options.num_threads);
+    threads.ParallelFor(0, num_pools, [&](int64_t pid) {
+      pools.pools[static_cast<size_t>(pid)] = BuildPool(
+          tenants[static_cast<size_t>(
+                      pool_reference[static_cast<size_t>(pid)])]
+              .problem,
+          box_, config_);
+    });
+  }
+  plan.pool_ms = NowMs() - start_ms;
   for (int pid = 0; pid < num_pools; ++pid) {
-    TenantPool& pool = pools[static_cast<size_t>(pid)];
+    TenantPool& pool = pools.pools[static_cast<size_t>(pid)];
     if (!pool.status.ok()) {
       plan.status = pool.status;
       return plan;
@@ -484,13 +561,6 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     }
     plan.layouts_evaluated += pool.layouts_evaluated;
   }
-  std::vector<const TenantPool*> by_tenant(
-      static_cast<size_t>(num_tenants));
-  for (int i = 0; i < num_tenants; ++i) {
-    by_tenant[static_cast<size_t>(i)] =
-        &pools[static_cast<size_t>(tenant_pool[static_cast<size_t>(i)])];
-  }
-
   const FleetConstraints& cons = config_.constraints;
   const bool budget_active = cons.budget_cents_per_hour > 0.0;
   const bool capacity_active = !cons.capacity_gb.empty();
@@ -499,20 +569,23 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   // Its Σ TOC lower-bounds every selection, so if it is feasible it is THE
   // fleet optimum over the pools.
   std::vector<int> solo(static_cast<size_t>(num_tenants), 0);
-  const FleetTotals solo_totals = ComputeTotals(solo, by_tenant, m);
+  const FleetTotals solo_totals = ComputeTotals(solo, pools, m);
 
   // --- The fleet's cost floor: every tenant on its cheapest candidate
   // (tenant-index order, like every total). Below Σ of these no selection
   // exists, so callers can sweep budgets from min_cost to the solo cost.
-  std::vector<double> cheapest_cost(static_cast<size_t>(num_tenants), 0.0);
-  for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
+  std::vector<double> cheapest_cost(static_cast<size_t>(num_pools), 0.0);
+  for (int pid = 0; pid < num_pools; ++pid) {
+    const TenantPool& pool = pools.pools[static_cast<size_t>(pid)];
     double cheapest = pool.cost[0];
     for (int c = 1; c < pool.size(); ++c) {
       cheapest = std::min(cheapest, pool.cost[static_cast<size_t>(c)]);
     }
-    cheapest_cost[static_cast<size_t>(i)] = cheapest;
-    plan.min_cost_cents_per_hour += cheapest;
+    cheapest_cost[static_cast<size_t>(pid)] = cheapest;
+  }
+  for (int i = 0; i < num_tenants; ++i) {
+    plan.min_cost_cents_per_hour += cheapest_cost[static_cast<size_t>(
+        pools.pool_of[static_cast<size_t>(i)])];
   }
 
   // --- Independent fair-share baseline: tenant i provisions alone on a
@@ -521,25 +594,17 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   // would have to sell it. Minimum-spend weights make the baseline
   // feasible whenever any selection is (share_i >= cheapest_i once the
   // budget covers Σ cheapest), so never-lose is a live comparison across
-  // the whole feasible budget range, not a vacuous one.
-  std::vector<double> weight(static_cast<size_t>(num_tenants), 0.0);
-  {
-    double total_cheapest = 0.0;
-    for (int i = 0; i < num_tenants; ++i) {
-      total_cheapest += cheapest_cost[static_cast<size_t>(i)];
-    }
-    for (int i = 0; i < num_tenants; ++i) {
-      weight[static_cast<size_t>(i)] =
-          total_cheapest > 0.0
-              ? cheapest_cost[static_cast<size_t>(i)] / total_cheapest
-              : 1.0 / num_tenants;
-    }
-  }
-  std::vector<int> baseline(static_cast<size_t>(num_tenants), -1);
+  // the whole feasible budget range, not a vacuous one. A tenant's share,
+  // and so its pick, depends only on its pool.
+  const double total_cheapest = plan.min_cost_cents_per_hour;
+  std::vector<int> pool_pick(static_cast<size_t>(num_pools), -1);
   plan.independent_feasible = true;
-  for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
-    const double w = weight[static_cast<size_t>(i)];
+  for (int pid = 0; pid < num_pools; ++pid) {
+    const TenantPool& pool = pools.pools[static_cast<size_t>(pid)];
+    const double w = total_cheapest > 0.0
+                         ? cheapest_cost[static_cast<size_t>(pid)] /
+                               total_cheapest
+                         : 1.0 / num_tenants;
     const double budget_share =
         budget_active ? cons.budget_cents_per_hour * w * (1.0 + kFleetFeasTol)
                       : std::numeric_limits<double>::infinity();
@@ -563,7 +628,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
       }
     }
     if (pick < 0) {
-      // No candidate fits this tenant's share: the baseline itself is
+      // No candidate fits this pool's share: the baseline itself is
       // infeasible. Report its totals over each such tenant's cheapest
       // candidate (deterministic: lowest cost, ties by toc order = index).
       plan.independent_feasible = false;
@@ -576,9 +641,10 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
       }
       pick = cheapest;
     }
-    baseline[static_cast<size_t>(i)] = pick;
+    pool_pick[static_cast<size_t>(pid)] = pick;
   }
-  const FleetTotals baseline_totals = ComputeTotals(baseline, by_tenant, m);
+  const std::vector<int> baseline = pools.ForTenants(pool_pick);
+  const FleetTotals baseline_totals = ComputeTotals(baseline, pools, m);
   plan.independent_toc_cents_per_task = baseline_totals.toc;
   plan.independent_cost_cents_per_hour = baseline_totals.cost;
 
@@ -607,12 +673,17 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
           solo_totals.toc /
           std::max(solo_totals.used[static_cast<size_t>(j)], kEps);
     }
-    std::vector<int> sel(static_cast<size_t>(num_tenants), 0);
+    // A tenant's argmin depends only on its pool and the prices, so each
+    // iteration prices every pool once and hands its pick to the pool's
+    // tenants; the totals are still accumulated in tenant order.
+    const double price_start_ms = NowMs();
+    std::vector<int> pool_arg(static_cast<size_t>(num_pools), 0);
+    std::vector<int> sel;
     std::vector<int> best_feasible;
     double best_feasible_toc = 0.0;
     for (int r = 1; r <= config_.price_iterations; ++r) {
-      threads.ParallelForChunked(0, num_tenants, 256, [&](int64_t i) {
-        const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
+      for (int pid = 0; pid < num_pools; ++pid) {
+        const TenantPool& pool = pools.pools[static_cast<size_t>(pid)];
         int arg = 0;
         double best = std::numeric_limits<double>::infinity();
         for (int c = 0; c < pool.size(); ++c) {
@@ -631,9 +702,10 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
             arg = c;
           }
         }
-        sel[static_cast<size_t>(i)] = arg;
-      });
-      const FleetTotals t = ComputeTotals(sel, by_tenant, m);
+        pool_arg[static_cast<size_t>(pid)] = arg;
+      }
+      sel = pools.ForTenants(pool_arg);
+      const FleetTotals t = ComputeTotals(sel, pools, m);
       if (FleetFeasible(t, cons) &&
           (best_feasible.empty() || t.toc < best_feasible_toc)) {
         best_feasible = sel;
@@ -657,23 +729,26 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     }
     plan.budget_price = lambda;
     plan.capacity_price = mu;
+    plan.price_ms = NowMs() - price_start_ms;
 
     // --- Repair the final relaxation selection, then pick the best of
     // {repaired, best price-feasible, independent baseline} — fixed
     // precedence on exact ties, so the choice is deterministic and the
     // never-lose guarantee is structural.
+    const double repair_start_ms = NowMs();
     std::vector<int> repaired = sel;
-    FleetTotals repaired_totals = ComputeTotals(repaired, by_tenant, m);
+    FleetTotals repaired_totals = ComputeTotals(repaired, pools, m);
     const bool repaired_ok =
-        ExchangeRepair(by_tenant, cons, m, &repaired, &repaired_totals,
+        ExchangeRepair(pools, cons, m, &repaired, &repaired_totals,
                        &plan.exchange_moves);
+    plan.repair_ms = NowMs() - repair_start_ms;
     if (repaired_ok) {
       choice = repaired;
       totals = repaired_totals;
       feasible = true;
     }
     if (!best_feasible.empty()) {
-      const FleetTotals t = ComputeTotals(best_feasible, by_tenant, m);
+      const FleetTotals t = ComputeTotals(best_feasible, pools, m);
       if (!feasible || t.toc < totals.toc) {
         choice = best_feasible;
         totals = t;
@@ -697,20 +772,22 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   }
 
   // --- Reclaim slack: greedy TOC improvement, feasibility-preserving.
-  ImprovementPass(by_tenant, cons, m, &choice, &totals,
+  const double improve_start_ms = NowMs();
+  ImprovementPass(pools, cons, m, &choice, &totals,
                   &plan.improve_moves);
+  plan.repair_ms += NowMs() - improve_start_ms;
 
   plan.fell_back_to_baseline = plan.independent_feasible &&
                                choice == baseline;
   plan.tenants.resize(static_cast<size_t>(num_tenants));
   for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
+    const TenantPool& pool = pools[static_cast<size_t>(i)];
     const size_t c = static_cast<size_t>(choice[static_cast<size_t>(i)]);
     FleetTenantChoice& out = plan.tenants[static_cast<size_t>(i)];
     out.placement = pool.placements[c];
     out.toc_cents_per_task = pool.toc[c];
     out.cost_cents_per_hour = pool.cost[c];
-    out.pool_id = tenant_pool[static_cast<size_t>(i)];
+    out.pool_id = pools.pool_of[static_cast<size_t>(i)];
     out.candidate = static_cast<int>(c);
   }
   plan.total_toc_cents_per_task = totals.toc;

@@ -78,11 +78,11 @@ struct FleetConfig {
   /// violate the contract.
   bool share_pools = true;
 
-  /// Engine knobs: `options.num_threads` drives the pool-build and
-  /// per-tenant pricing fan-outs. Results are bit-identical at every
-  /// thread count — pools build into distinct slots, per-tenant argmins
-  /// write distinct slots, and every total is accumulated serially in
-  /// tenant-index order.
+  /// Engine knobs: `options.num_threads` drives the pool-build fan-out,
+  /// the planner's only parallel phase. Results are bit-identical at
+  /// every thread count — pools build into distinct slots, and pricing
+  /// and repair run serially with every total accumulated in tenant-index
+  /// order.
   SearchOptions options;
 };
 
@@ -167,7 +167,16 @@ struct FleetPlan {
   /// Candidate layouts evaluated across all pool builds (each shared pool
   /// counted once).
   long long layouts_evaluated = 0;
+
+  /// Wall-clock split of plan_ms. pool_ms covers keying and building the
+  /// pools; price_ms the subgradient iterations; repair_ms the exchange
+  /// repair plus the improvement pass. Price and exchange stay 0 when the
+  /// solo optima are already feasible. Timings are never part of a plan's
+  /// identity.
   double plan_ms = 0.0;
+  double pool_ms = 0.0;
+  double price_ms = 0.0;
+  double repair_ms = 0.0;
 };
 
 /// Fleet-scale provisioning: N per-tenant DotProblems coupled by a global
@@ -183,15 +192,18 @@ struct FleetPlan {
 ///      BetterCandidate order, so pool[0] is exactly the tenant's solo
 ///      optimum.
 ///   2. Prices — an outer subgradient loop adjusts a budget price λ and
-///      per-class prices μ_j; each iteration every tenant independently
-///      picks argmin(toc + λ·cost + Σ_j μ_j·space_j) from its pool, fanned
-///      out on the ThreadPool into distinct slots.
+///      per-class prices μ_j; each iteration computes
+///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per pool (a tenant's
+///      pick depends only on its pool and the prices) and hands it to the
+///      pool's tenants; the iterate's totals are summed in tenant order.
 ///   3. Repair — when the relaxation over-subscribes, a deterministic
 ///      greedy exchange walks tenants onto cheaper candidates in best
 ///      ΔTOC-per-violation-reduction order (ties by tenant then candidate
 ///      index) until the fleet fits; a final greedy improvement pass then
-///      reclaims any slack. The independent fair-share baseline competes
-///      as a candidate selection, which is what proves never-lose.
+///      reclaims any slack. Both probe each (pool, current candidate) row
+///      of moves once per round, in place, and expand it per tenant. The
+///      independent fair-share baseline competes as a candidate
+///      selection, which is what proves never-lose.
 class FleetPlanner {
  public:
   /// `box` must outlive the planner and be the box every tenant problem

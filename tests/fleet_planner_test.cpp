@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -167,6 +168,121 @@ TEST(FleetPlannerTest, PoolsAreSharedPerSchemaFingerprint) {
   EXPECT_EQ(ru.fleet.pool_cache_hits, 0);
   EXPECT_EQ(ru.fleet.total_toc_cents_per_task,
             rs.fleet.total_toc_cents_per_task);
+}
+
+/// Every output of a plan except pool identity: per-tenant placement,
+/// candidate and bill, every total, the prices and the search counters.
+/// Pool ids, the pool counters and layouts_evaluated depend on how pools
+/// are shared; timings are never compared.
+void ExpectSameSelection(const FleetPlan& a, const FleetPlan& b,
+                         const std::string& what) {
+  ASSERT_TRUE(a.status.ok()) << what << ": " << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << what << ": " << b.status.ToString();
+  ASSERT_EQ(a.tenants.size(), b.tenants.size()) << what;
+  for (size_t i = 0; i < a.tenants.size(); ++i) {
+    EXPECT_EQ(a.tenants[i].placement, b.tenants[i].placement)
+        << what << " tenant " << i;
+    EXPECT_EQ(a.tenants[i].candidate, b.tenants[i].candidate)
+        << what << " tenant " << i;
+    EXPECT_EQ(a.tenants[i].toc_cents_per_task, b.tenants[i].toc_cents_per_task)
+        << what << " tenant " << i;
+    EXPECT_EQ(a.tenants[i].cost_cents_per_hour,
+              b.tenants[i].cost_cents_per_hour)
+        << what << " tenant " << i;
+  }
+  EXPECT_EQ(a.total_toc_cents_per_task, b.total_toc_cents_per_task) << what;
+  EXPECT_EQ(a.total_cost_cents_per_hour, b.total_cost_cents_per_hour) << what;
+  EXPECT_EQ(a.used_gb, b.used_gb) << what;
+  EXPECT_EQ(a.min_cost_cents_per_hour, b.min_cost_cents_per_hour) << what;
+  EXPECT_EQ(a.independent_toc_cents_per_task,
+            b.independent_toc_cents_per_task)
+      << what;
+  EXPECT_EQ(a.independent_cost_cents_per_hour,
+            b.independent_cost_cents_per_hour)
+      << what;
+  EXPECT_EQ(a.independent_feasible, b.independent_feasible) << what;
+  EXPECT_EQ(a.fell_back_to_baseline, b.fell_back_to_baseline) << what;
+  EXPECT_EQ(a.budget_price, b.budget_price) << what;
+  EXPECT_EQ(a.capacity_price, b.capacity_price) << what;
+  EXPECT_EQ(a.price_iterations_run, b.price_iterations_run) << what;
+  EXPECT_EQ(a.exchange_moves, b.exchange_moves) << what;
+  EXPECT_EQ(a.improve_moves, b.improve_moves) << what;
+}
+
+TEST(FleetPlannerTest, SharedPoolsPlanLikePerTenantPoolsUnderBindingLimits) {
+  // Pricing and repair work once per shared pool; with share_pools off
+  // every tenant has a pool of its own, so this pins per-pool work to the
+  // per-tenant answer. The roster deals the generator's classes out
+  // round-robin for as many full rounds as the smallest class allows, so
+  // no two tenants of one class are adjacent.
+  SyntheticFleet owner = MakeSyntheticFleet(64, 7);
+  std::vector<std::vector<const FleetTenant*>> by_class;
+  std::vector<const Schema*> class_schema;
+  for (const FleetTenant& t : owner.tenants) {
+    size_t k = 0;
+    while (k < class_schema.size() && class_schema[k] != t.problem.schema) {
+      ++k;
+    }
+    if (k == class_schema.size()) {
+      class_schema.push_back(t.problem.schema);
+      by_class.emplace_back();
+    }
+    by_class[k].push_back(&t);
+  }
+  ASSERT_GE(by_class.size(), 3u);
+  size_t rounds = by_class[0].size();
+  for (const std::vector<const FleetTenant*>& members : by_class) {
+    rounds = std::min(rounds, members.size());
+  }
+  ASSERT_GE(rounds, 2u);
+  std::vector<FleetTenant> roster;
+  for (size_t round = 0; round < rounds; ++round) {
+    for (const std::vector<const FleetTenant*>& members : by_class) {
+      roster.push_back(*members[round]);
+    }
+  }
+  for (size_t i = 1; i < roster.size(); ++i) {
+    ASSERT_NE(roster[i].problem.schema, roster[i - 1].problem.schema) << i;
+  }
+
+  auto plan = [&](const FleetConstraints& cons, bool share) {
+    FleetConfig config;
+    config.constraints = cons;
+    config.share_pools = share;
+    return FleetPlanner(owner.box.get(), config).Plan(roster);
+  };
+  const FleetPlan free_plan = plan(FleetConstraints{}, true);
+  ASSERT_TRUE(free_plan.status.ok()) << free_plan.status.ToString();
+
+  // Binding budget: halfway between the cost floor and the solo cost.
+  FleetConstraints budget;
+  budget.budget_cents_per_hour =
+      0.5 * (free_plan.min_cost_cents_per_hour +
+             free_plan.total_cost_cents_per_hour);
+  // Binding capacity: the heaviest class squeezed to 60% of its solo use.
+  FleetConstraints capacity;
+  size_t heavy = 0;
+  for (size_t j = 1; j < free_plan.used_gb.size(); ++j) {
+    if (free_plan.used_gb[j] > free_plan.used_gb[heavy]) heavy = j;
+  }
+  capacity.capacity_gb.assign(free_plan.used_gb.size(), 0.0);
+  for (size_t j = 0; j < free_plan.used_gb.size(); ++j) {
+    capacity.capacity_gb[j] = free_plan.used_gb[j] * 4.0 + 1.0;
+  }
+  capacity.capacity_gb[heavy] = free_plan.used_gb[heavy] * 0.6;
+
+  for (const auto& [what, cons] :
+       {std::pair<std::string, FleetConstraints>{"budget", budget},
+        std::pair<std::string, FleetConstraints>{"capacity", capacity}}) {
+    const FleetPlan shared = plan(cons, true);
+    const FleetPlan unshared = plan(cons, false);
+    ASSERT_TRUE(shared.status.ok()) << what << ": "
+                                    << shared.status.ToString();
+    EXPECT_GT(shared.price_iterations_run, 0) << what << " must bind";
+    EXPECT_LT(shared.pool_builds, unshared.pool_builds) << what;
+    EXPECT_EQ(unshared.pool_builds, static_cast<int>(roster.size())) << what;
+    ExpectSameSelection(shared, unshared, what);
+  }
 }
 
 /// A four-object tenant (orders + pk, items + pk) whose two table groups
