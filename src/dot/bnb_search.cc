@@ -86,46 +86,18 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
       0, total, num_shards,
       [&](int shard, int64_t shard_begin, int64_t shard_end) {
         Winner local;
-        std::vector<int> placement = DecodeLayoutIndex(shard_begin, n, m);
-        // Drive the scorer's bound cursor along the odometer. Digit 0 (the
-        // least significant) is assigned last, so a step that rolls digits
-        // 0..k unassigns them in LIFO order and re-assigns k..0; every step
-        // is a fully assigned leaf, where Optimistic() is exact (the
-        // BoundCursor leaf contract, workload.h). For DSS only the
-        // templates whose footprint holds a rolled digit re-resolve.
-        std::unique_ptr<FastScorer::BoundCursor> cursor;
-        if (fast.scorer() != nullptr) cursor = fast.scorer()->MakeBoundCursor();
-        if (cursor != nullptr) {
-          for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
-        }
-        for (int64_t idx = shard_begin; idx < shard_end; ++idx) {
-          const CandidateEval eval =
-              cursor != nullptr
-                  ? fast.EvaluateWithScore(placement,
-                                           cursor->Optimistic(placement))
-                  : fast.EvaluateQuick(placement);
-          if (eval.feasible &&
-              (!local.found || BetterCandidate(eval.toc, placement, local.toc,
-                                               local.placement))) {
-            local.found = true;
-            local.toc = eval.toc;
-            local.placement = placement;
-          }
-          // Advance the M-ary odometer (digit 0 least significant); `top`
-          // is the highest digit that changed — almost always 0.
-          int top = 0;
-          while (top < n) {
-            const size_t d = static_cast<size_t>(top);
-            if (++placement[d] < m) break;
-            placement[d] = 0;
-            ++top;
-          }
-          // A shard's last step (the only one that can wrap all N digits)
-          // leaves the cursor alone.
-          if (cursor == nullptr || idx + 1 == shard_end) continue;
-          for (int d = 0; d <= top; ++d) cursor->Unassign(d);
-          for (int d = top; d >= 0; --d) cursor->Assign(d, placement);
-        }
+        WalkLayouts(fast, shard_begin, shard_end,
+                    [&](const std::vector<int>& placement,
+                        const CandidateEval& eval) {
+                      if (eval.feasible &&
+                          (!local.found ||
+                           BetterCandidate(eval.toc, placement, local.toc,
+                                           local.placement))) {
+                        local.found = true;
+                        local.toc = eval.toc;
+                        local.placement = placement;
+                      }
+                    });
         per_shard[static_cast<size_t>(shard)] = std::move(local);
       });
 

@@ -70,10 +70,6 @@ FastEvaluator::FastEvaluator(const DotOptimizer& estimator)
     // box must still optimize, just not fast.
     return;
   }
-  size_gb_.reserve(static_cast<size_t>(problem.schema->NumObjects()));
-  for (const DbObject& o : problem.schema->objects()) {
-    size_gb_.push_back(o.size_gb);
-  }
   const PerfTargets& targets = estimator_.targets();
   if (targets.kind != problem.workload->sla_kind()) {
     // A targets_override of the other kind (e.g. throughput targets over a
@@ -101,11 +97,9 @@ FastEvaluator::~FastEvaluator() = default;
 bool FastEvaluator::FitAndCost(const std::vector<int>& placement,
                                CandidateEval* eval) const {
   const DotProblem& problem = estimator_.problem();
-  // Space by class, in the exact object order Layout::SpaceByClass sums.
   std::array<double, kMaxClasses> used{};
-  for (size_t o = 0; o < size_gb_.size(); ++o) {
-    used[static_cast<size_t>(placement[o])] += size_gb_[o];
-  }
+  Layout::AddSpaceByClass(problem.schema->sizes_gb(), placement.data(),
+                          used.data());
   const Layout::CapacityFit fit =
       Layout::FitFromSpace(*problem.box, used.data());
   eval->fits = fit.fits;

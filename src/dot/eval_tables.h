@@ -78,6 +78,8 @@ class FastEvaluator {
 
   bool enabled() const { return scorer_ != nullptr; }
 
+  const DotProblem& problem() const { return estimator_.problem(); }
+
   /// Scores one candidate. With the fast path enabled no PerfEstimate is
   /// materialized (CandidateEval::estimate stays empty); disabled, this is
   /// EvaluateOneWith. Either way toc/cost/feasibility/violation are the
@@ -115,13 +117,61 @@ class FastEvaluator {
   CandidateEval Finish(CandidateEval eval, const QuickPerf& qp) const;
 
   const DotOptimizer& estimator_;
-  std::vector<double> size_gb_;  ///< per object, schema order
   std::unique_ptr<FastScorer> scorer_;
 };
 
 /// placement[o] = (index / M^o) mod M for an N-digit, radix-M space.
 std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
                                    int num_classes);
+
+/// The odometer walk over layout indices [begin, end) of the problem's
+/// N-digit, radix-M space (DecodeLayoutIndex's order, digit 0 least
+/// significant): calls `visit(placement, eval)` once per layout, in index
+/// order, with the verdict EvaluateQuick would return, bit for bit. The one
+/// walker: the exhaustive scan's shards and the fleet's enumerated pools
+/// both run on it.
+///
+/// With the fast path on, the scorer's bound cursor rides the odometer.
+/// Digit 0 is assigned last, so a step that rolls digits 0..k unassigns
+/// them in LIFO order and re-assigns k..0; every step is a fully assigned
+/// leaf, where Optimistic() is exact (the BoundCursor leaf contract,
+/// workload.h). For DSS only the templates whose footprint holds a rolled
+/// digit re-resolve. With the fast path off every step is EvaluateQuick.
+template <typename Visit>
+void WalkLayouts(const FastEvaluator& fast, long long begin, long long end,
+                 const Visit& visit) {
+  if (begin >= end) return;
+  const int n = fast.problem().schema->NumObjects();
+  const int m = fast.problem().box->NumClasses();
+  std::vector<int> placement = DecodeLayoutIndex(begin, n, m);
+  const std::vector<int>& current = placement;
+  std::unique_ptr<FastScorer::BoundCursor> cursor;
+  if (fast.scorer() != nullptr) cursor = fast.scorer()->MakeBoundCursor();
+  if (cursor != nullptr) {
+    for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
+  }
+  for (long long idx = begin; idx < end; ++idx) {
+    visit(current,
+          cursor != nullptr
+              ? fast.EvaluateWithScore(placement,
+                                       cursor->Optimistic(placement))
+              : fast.EvaluateQuick(placement));
+    // Advance the odometer; `top` is the highest digit that changed —
+    // almost always 0.
+    int top = 0;
+    while (top < n) {
+      const size_t d = static_cast<size_t>(top);
+      if (++placement[d] < m) break;
+      placement[d] = 0;
+      ++top;
+    }
+    // The last step (the only one that can wrap all N digits) leaves the
+    // cursor alone.
+    if (cursor == nullptr || idx + 1 == end) continue;
+    for (int d = 0; d <= top; ++d) cursor->Unassign(d);
+    for (int d = top; d >= 0; --d) cursor->Assign(d, placement);
+  }
+}
 
 /// M^N, the size of the N-digit, radix-M layout space, saturating at
 /// LLONG_MAX instead of wrapping: 3^40 and the like must produce a clean

@@ -50,14 +50,15 @@ Layout Layout::WithMoves(const std::vector<int>& members,
 
 SpaceUsage Layout::SpaceByClass() const {
   SpaceUsage used(static_cast<size_t>(box_->NumClasses()), 0.0);
-  // Flat-array scan in object-id order — the same per-class accumulation
-  // order as iterating the DbObject records, so the sums are bit-identical.
-  const std::vector<double>& sizes = schema_->sizes_gb();
-  const int* placement = placement_.data();
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    used[static_cast<size_t>(placement[i])] += sizes[i];
-  }
+  AddSpaceByClass(schema_->sizes_gb(), placement_.data(), used.data());
   return used;
+}
+
+void Layout::AddSpaceByClass(const std::vector<double>& sizes_gb,
+                             const int* placement, double* used_gb) {
+  for (size_t o = 0; o < sizes_gb.size(); ++o) {
+    used_gb[placement[o]] += sizes_gb[o];
+  }
 }
 
 Status Layout::CheckCapacity() const {

@@ -37,6 +37,13 @@ class Layout {
   /// S_j per storage class, GB.
   SpaceUsage SpaceByClass() const;
 
+  /// Adds sizes_gb[o] to used_gb[placement[o]] for every object, in
+  /// object-id order — the one per-class space sum. SpaceByClass, the fast
+  /// evaluator and the fleet pools all take their S_j from it, so their
+  /// values agree bit for bit.
+  static void AddSpaceByClass(const std::vector<double>& sizes_gb,
+                              const int* placement, double* used_gb);
+
   /// OK iff Σ_{o on d_j} s_o < c_j for every class (§2.2).
   Status CheckCapacity() const;
 

@@ -140,23 +140,7 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       return Status::InvalidArgument("tenant " + t.name + ": " + st.message());
     }
   }
-  // The FleetPlanner invariants, checked here so they return a Status
-  // instead of aborting.
-  if (fleet->config.max_pool_layouts <= 0) {
-    return Status::InvalidArgument("FleetConfig::max_pool_layouts must be > 0");
-  }
-  if (fleet->config.price_iterations < 1) {
-    return Status::InvalidArgument(
-        "FleetConfig::price_iterations must be >= 1");
-  }
-  const auto& capacity = fleet->config.constraints.capacity_gb;
-  if (!capacity.empty() &&
-      static_cast<int>(capacity.size()) != problem.box->NumClasses()) {
-    return Status::InvalidArgument(
-        "FleetConstraints::capacity_gb must be empty or have one entry "
-        "per storage class");
-  }
-  return Status::OK();
+  return ValidateFleetConfig(fleet->config, *problem.box);
 }
 
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {

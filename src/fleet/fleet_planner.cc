@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <unordered_map>
 #include <utility>
 
-#include "catalog/schema.h"
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
-#include "dot/bnb_search.h"
-#include "dot/eval_tables.h"
-#include "dot/layout.h"
-#include "dot/optimizer.h"
-#include "workload/workload.h"
+#include "fleet/fleet_pools.h"
 
 namespace dot {
 
@@ -26,158 +19,6 @@ namespace {
 /// drift from B by ULPs; a selection must not flip infeasible over that.
 constexpr double kFleetFeasTol = 1e-9;
 constexpr double kEps = 1e-12;
-
-/// Appends a value's raw bytes: the key is only compared, never printed,
-/// and doubles key on their exact bits.
-template <typename T>
-void AppendRaw(const T& v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-/// The pool cache key: everything the pool's scores depend on. Same key =>
-/// same pool, by the FleetConfig::share_pools contract. Pointer-keyed
-/// inputs (targets_override, profiles) share only on pointer identity —
-/// conservative, never wrong. `fingerprint` is p.schema->Fingerprint().
-/// Variable-length fields are length-prefixed, so distinct inputs never
-/// concatenate to one key.
-std::string PoolKey(const DotProblem& p, uint64_t fingerprint,
-                    const FleetConfig& config) {
-  const std::string& name = p.workload->name();
-  std::string key;
-  key.reserve(96 + name.size() + 8 * p.io_scale_hint.size());
-  AppendRaw(fingerprint, &key);
-  AppendRaw(name.size(), &key);
-  key += name;
-  AppendRaw(p.relative_sla, &key);
-  AppendRaw(p.cost_model.discrete, &key);
-  AppendRaw(p.cost_model.alpha, &key);
-  AppendRaw(p.tail_sla.percentile, &key);
-  AppendRaw(p.tail_sla.latency_cv, &key);
-  AppendRaw(p.io_scale_hint.size(), &key);
-  for (double s : p.io_scale_hint) AppendRaw(s, &key);
-  AppendRaw(p.targets_override, &key);
-  if (config.pool_mode == FleetPoolMode::kSearch &&
-      config.search == EpochSearch::kDot) {
-    AppendRaw(p.profiles, &key);
-  }
-  return key;
-}
-
-/// One shared candidate pool: the tenant's feasible frontier, sorted under
-/// the BetterCandidate order (toc, then lexicographically lowest
-/// placement), so index 0 is the solo optimum and ties anywhere resolve
-/// to the lowest index.
-struct TenantPool {
-  Status status = Status::OK();
-  std::vector<std::vector<int>> placements;
-  std::vector<double> toc;
-  std::vector<double> cost;
-  /// Flattened [candidate * num_classes + class] space, GB.
-  std::vector<double> space;
-  long long layouts_evaluated = 0;
-
-  int size() const { return static_cast<int>(placements.size()); }
-};
-
-TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
-                     const FleetConfig& config) {
-  TenantPool out;
-  // One engine setup per fleet run; the pool build itself is serial (the
-  // planner parallelizes across distinct pools, into distinct slots).
-  DotProblem p = tenant_problem;
-  p.options = config.options;
-  p.options.num_threads = 1;
-  const int n = p.schema->NumObjects();
-  const int m = box->NumClasses();
-
-  std::vector<std::vector<int>> candidates;
-  if (config.pool_mode == FleetPoolMode::kEnumerate) {
-    const long long space = LayoutSpaceSize(n, m);
-    if (space > config.max_pool_layouts) {
-      out.status = Status::OutOfRange(
-          "tenant layout space " + std::to_string(m) + "^" +
-          std::to_string(n) +
-          " exceeds max_pool_layouts; use FleetPoolMode::kSearch");
-      return out;
-    }
-    candidates.reserve(static_cast<size_t>(space));
-    for (long long idx = 0; idx < space; ++idx) {
-      candidates.push_back(DecodeLayoutIndex(idx, n, m));
-    }
-  } else {
-    // The ReprovisionPlanner seeding path (solo optimum), plus the M
-    // uniform layouts as deterministic downgrade/upgrade anchors.
-    out.layouts_evaluated +=
-        AppendSoloCandidate(p, config.search, &candidates);
-    for (int cls = 0; cls < m; ++cls) {
-      std::vector<int> uniform(static_cast<size_t>(n), cls);
-      if (std::find(candidates.begin(), candidates.end(), uniform) ==
-          candidates.end()) {
-        candidates.push_back(std::move(uniform));
-      }
-    }
-  }
-
-  // Score every candidate through the searches' own kernel (the TOC fast
-  // path — bit-identical to the full estimate, dot/eval_tables.h).
-  const DotOptimizer estimator(p);
-  const FastEvaluator evaluator(estimator);
-  std::vector<Layout> layouts;
-  std::vector<CandidateEval> evals;
-  layouts.reserve(candidates.size());
-  evals.reserve(candidates.size());
-  for (const std::vector<int>& c : candidates) {
-    layouts.emplace_back(p.schema, box, c);
-    evals.push_back(evaluator.EvaluateQuick(c));
-  }
-  out.layouts_evaluated += static_cast<long long>(candidates.size());
-
-  // Keep the feasible ones, in BetterCandidate order.
-  std::vector<int> order;
-  for (size_t i = 0; i < evals.size(); ++i) {
-    if (evals[i].feasible) order.push_back(static_cast<int>(i));
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return BetterCandidate(evals[static_cast<size_t>(a)].toc,
-                           candidates[static_cast<size_t>(a)],
-                           evals[static_cast<size_t>(b)].toc,
-                           candidates[static_cast<size_t>(b)]);
-  });
-
-  // Dominance prune over (toc, cost, per-class space): a candidate
-  // survives only if no earlier (hence no-worse-TOC) candidate weakly
-  // dominates it on cost and every class. Exact all-equal ties keep the
-  // earlier — lexicographically lower — placement, which is the fleet's
-  // determinism tie-break.
-  std::vector<std::vector<double>> kept_space;
-  for (int idx : order) {
-    const CandidateEval& eval = evals[static_cast<size_t>(idx)];
-    const SpaceUsage used =
-        layouts[static_cast<size_t>(idx)].SpaceByClass();
-    bool dominated = false;
-    for (size_t k = 0; k < out.placements.size() && !dominated; ++k) {
-      if (out.cost[k] > eval.cost_cents_per_hour) continue;
-      bool covers = true;
-      for (int j = 0; j < m; ++j) {
-        if (kept_space[k][static_cast<size_t>(j)] >
-            used[static_cast<size_t>(j)]) {
-          covers = false;
-          break;
-        }
-      }
-      dominated = covers;
-    }
-    if (dominated) continue;
-    out.placements.push_back(candidates[static_cast<size_t>(idx)]);
-    out.toc.push_back(eval.toc);
-    out.cost.push_back(eval.cost_cents_per_hour);
-    for (int j = 0; j < m; ++j) {
-      out.space.push_back(used[static_cast<size_t>(j)]);
-    }
-    kept_space.push_back(used);
-  }
-  return out;
-}
 
 /// The distinct pools and which one each tenant draws from.
 struct TenantPools {
@@ -456,15 +297,28 @@ void ImprovementPass(const TenantPools& pools,
 
 }  // namespace
 
+Status ValidateFleetConfig(const FleetConfig& config,
+                          const BoxConfig& box) {
+  if (config.max_pool_layouts <= 0) {
+    return Status::InvalidArgument("FleetConfig::max_pool_layouts must be > 0");
+  }
+  if (config.price_iterations < 1) {
+    return Status::InvalidArgument(
+        "FleetConfig::price_iterations must be >= 1");
+  }
+  const std::vector<double>& capacity = config.constraints.capacity_gb;
+  if (!capacity.empty() &&
+      static_cast<int>(capacity.size()) != box.NumClasses()) {
+    return Status::InvalidArgument(
+        "FleetConstraints::capacity_gb must be empty or have one entry "
+        "per storage class");
+  }
+  return Status::OK();
+}
+
 FleetPlanner::FleetPlanner(const BoxConfig* box, FleetConfig config)
     : box_(box), config_(std::move(config)) {
   DOT_CHECK(box_ != nullptr);
-  DOT_CHECK(config_.max_pool_layouts > 0);
-  DOT_CHECK(config_.price_iterations >= 1);
-  DOT_CHECK(config_.constraints.capacity_gb.empty() ||
-            static_cast<int>(config_.constraints.capacity_gb.size()) ==
-                box_->NumClasses())
-      << "capacity_gb must be empty or have one entry per storage class";
 }
 
 FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
@@ -473,6 +327,8 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   FleetPlan plan;
   plan.used_gb.assign(static_cast<size_t>(m), 0.0);
   plan.capacity_price.assign(static_cast<size_t>(m), 0.0);
+  plan.status = ValidateFleetConfig(config_, *box_);
+  if (!plan.status.ok()) return plan;
   if (tenants.empty()) {
     plan.status = Status::InvalidArgument("fleet has no tenants");
     return plan;
@@ -497,36 +353,13 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   }
   const int num_tenants = static_cast<int>(tenants.size());
 
-  // --- Pool assignment: first-occurrence order over cache keys, so pool
-  // ids — and everything downstream — are independent of threading.
-  // Fingerprinting hashes every object, so each schema is hashed once.
+  // --- Pool assignment (first-occurrence order, so pool ids do not
+  // depend on threading).
   TenantPools pools;
-  pools.pool_of.assign(static_cast<size_t>(num_tenants), -1);
-  std::map<std::string, int> key_to_pool;
-  std::unordered_map<const Schema*, uint64_t> fingerprints;
-  std::vector<int> pool_reference;  // pool id -> first tenant index
-  for (int i = 0; i < num_tenants; ++i) {
-    if (!config_.share_pools) {
-      pools.pool_of[static_cast<size_t>(i)] =
-          static_cast<int>(pool_reference.size());
-      pool_reference.push_back(i);
-      continue;
-    }
-    const DotProblem& problem = tenants[static_cast<size_t>(i)].problem;
-    const auto [fp, fresh] = fingerprints.try_emplace(problem.schema, 0);
-    if (fresh) fp->second = problem.schema->Fingerprint();
-    const std::string key = PoolKey(problem, fp->second, config_);
-    const auto it = key_to_pool.find(key);
-    if (it != key_to_pool.end()) {
-      pools.pool_of[static_cast<size_t>(i)] = it->second;
-      ++plan.pool_cache_hits;
-    } else {
-      const int id = static_cast<int>(pool_reference.size());
-      key_to_pool.emplace(key, id);
-      pools.pool_of[static_cast<size_t>(i)] = id;
-      pool_reference.push_back(i);
-    }
-  }
+  PoolAssignment assignment = AssignPools(tenants, config_);
+  pools.pool_of = std::move(assignment.pool_of);
+  const std::vector<int>& pool_reference = assignment.reference;
+  plan.pool_cache_hits = assignment.cache_hits;
   const int num_pools = static_cast<int>(pool_reference.size());
   plan.pool_builds = num_pools;
 
@@ -675,10 +508,14 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     }
     // A tenant's argmin depends only on its pool and the prices, so each
     // iteration prices every pool once and hands its pick to the pool's
-    // tenants; the totals are still accumulated in tenant order.
+    // tenants; the totals are still accumulated in tenant order. They
+    // depend only on the per-pool argmins, so an iterate whose argmins
+    // repeat the previous one's reuses its selection and totals.
     const double price_start_ms = NowMs();
     std::vector<int> pool_arg(static_cast<size_t>(num_pools), 0);
+    std::vector<int> prev_arg;
     std::vector<int> sel;
+    FleetTotals t;
     std::vector<int> best_feasible;
     double best_feasible_toc = 0.0;
     for (int r = 1; r <= config_.price_iterations; ++r) {
@@ -704,8 +541,11 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
         }
         pool_arg[static_cast<size_t>(pid)] = arg;
       }
-      sel = pools.ForTenants(pool_arg);
-      const FleetTotals t = ComputeTotals(sel, pools, m);
+      if (pool_arg != prev_arg) {
+        sel = pools.ForTenants(pool_arg);
+        t = ComputeTotals(sel, pools, m);
+        prev_arg = pool_arg;
+      }
       if (FleetFeasible(t, cons) &&
           (best_feasible.empty() || t.toc < best_feasible_toc)) {
         best_feasible = sel;
@@ -784,7 +624,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     const TenantPool& pool = pools[static_cast<size_t>(i)];
     const size_t c = static_cast<size_t>(choice[static_cast<size_t>(i)]);
     FleetTenantChoice& out = plan.tenants[static_cast<size_t>(i)];
-    out.placement = pool.placements[c];
+    out.placement = pool.Placement(static_cast<int>(c));
     out.toc_cents_per_task = pool.toc[c];
     out.cost_cents_per_hour = pool.cost[c];
     out.pool_id = pools.pool_of[static_cast<size_t>(i)];

@@ -179,6 +179,11 @@ struct FleetPlan {
   double repair_ms = 0.0;
 };
 
+/// The FleetConfig rules Plan (and dot::Solve's kFleet validation)
+/// enforce: max_pool_layouts > 0, price_iterations >= 1, and capacity_gb
+/// empty or one entry per storage class of `box`.
+Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
+
 /// Fleet-scale provisioning: N per-tenant DotProblems coupled by a global
 /// budget and per-class capacity, solved by Lagrangian price decomposition
 /// over shared per-tenant candidate pools with a deterministic greedy-
@@ -188,9 +193,10 @@ struct FleetPlan {
 ///   1. Pools — per distinct cache key, the tenant's feasible candidate
 ///      frontier is built once (FleetPoolMode) and scored through the
 ///      searches' own evaluation kernel (the TOC fast path, bit-identical
-///      to the full estimate), then dominance-pruned and sorted under the
-///      BetterCandidate order, so pool[0] is exactly the tenant's solo
-///      optimum.
+///      to the full estimate; kEnumerate on the scan's odometer walker),
+///      then sorted under the BetterCandidate order and dominance-pruned,
+///      so pool[0] is exactly the tenant's solo optimum
+///      (fleet/fleet_pools.h).
 ///   2. Prices — an outer subgradient loop adjusts a budget price λ and
 ///      per-class prices μ_j; each iteration computes
 ///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per pool (a tenant's
@@ -206,10 +212,12 @@ struct FleetPlan {
 ///      selection, which is what proves never-lose.
 class FleetPlanner {
  public:
-  /// `box` must outlive the planner and be the box every tenant problem
-  /// references.
+  /// `box` must be non-null, outlive the planner and be the box every
+  /// tenant problem references.
   FleetPlanner(const BoxConfig* box, FleetConfig config);
 
+  /// A config that fails ValidateFleetConfig, an empty fleet or a
+  /// malformed tenant returns InvalidArgument in the plan's status.
   FleetPlan Plan(const std::vector<FleetTenant>& tenants) const;
 
   const FleetConfig& config() const { return config_; }

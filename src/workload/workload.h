@@ -75,8 +75,9 @@ inline constexpr double kBoundSafety = 1e-9;
 ///   * Score — one whole placement, stateless;
 ///   * BoundCursor — an incremental walker over partial placements, shared
 ///     by the branch-and-bound search (optimistic bounds at interior
-///     nodes) and the exhaustive scan (an odometer walk whose every step
-///     is a leaf, where the cursor is exact).
+///     nodes) and the odometer walk of the exhaustive scan and the fleet
+///     pools (WalkLayouts, dot/eval_tables.h), whose every step is a leaf,
+///     where the cursor is exact.
 ///
 /// Thread-safety: Score() must be safe to call concurrently (internal caches
 /// synchronize themselves); a BoundCursor is single-threaded state and each

@@ -493,6 +493,35 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
             StatusCode::kInvalidArgument);
 }
 
+// A bad FleetConfig reaching the planner directly (not through Solve's
+// validation) returns InvalidArgument from Plan instead of aborting.
+FleetPlan PlanDirectly(const FleetConfig& config) {
+  const SyntheticFleet fleet = MakeSyntheticFleet(2, 7);
+  return FleetPlanner(fleet.box.get(), config).Plan(fleet.tenants);
+}
+
+TEST(FleetPlannerTest, PlanRejectsNonPositiveMaxPoolLayouts) {
+  FleetConfig config;
+  config.max_pool_layouts = 0;
+  EXPECT_EQ(PlanDirectly(config).status.code(), StatusCode::kInvalidArgument);
+  config.max_pool_layouts = -5;
+  EXPECT_EQ(PlanDirectly(config).status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FleetPlannerTest, PlanRejectsFewerThanOnePriceIteration) {
+  FleetConfig config;
+  config.price_iterations = 0;
+  EXPECT_EQ(PlanDirectly(config).status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FleetPlannerTest, PlanRejectsCapacityArityMismatch) {
+  FleetConfig config;
+  config.constraints.capacity_gb = {1.0, 2.0};  // Box 2 has 3 classes
+  const FleetPlan plan = PlanDirectly(config);
+  EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(plan.tenants.empty());
+}
+
 TEST(FleetPlannerTest, ImpossibleBudgetReportsInfeasible) {
   FleetFixture fx(4);
   fx.spec.config.constraints.budget_cents_per_hour = 1e-6;
